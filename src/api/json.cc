@@ -3,8 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -328,46 +326,6 @@ class Parser {
 
 Result<JsonValue> ParseJson(const std::string& text) {
   return Parser(text).Parse();
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void AppendJsonDouble(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";  // JSON has no inf/nan
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  out += buf;
 }
 
 }  // namespace api

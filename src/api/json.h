@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/json_writer.h"
 #include "util/status.h"
 
 namespace histk {
@@ -96,12 +97,11 @@ class JsonValue {
 /// key") so NDJSON clients can locate the defect inside their line.
 Result<JsonValue> ParseJson(const std::string& text);
 
-/// Append `s` as a JSON string literal (quotes + escapes) to `out`.
-void AppendJsonString(std::string& out, const std::string& s);
-
-/// Append a double with enough digits to round-trip (same `%.*g` grammar
-/// as WriteReportJson, so envelope and report numbers look alike).
-void AppendJsonDouble(std::string& out, double value);
+/// The emitters live in util/json_writer.h, the one writer every histk
+/// text output shares; they are re-exported here so wire-layer callers
+/// find parse and emit side by side.
+using ::histk::AppendJsonDouble;
+using ::histk::AppendJsonString;
 
 }  // namespace api
 }  // namespace histk

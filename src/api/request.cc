@@ -1,7 +1,6 @@
 #include "api/request.h"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -433,34 +432,25 @@ std::string WriteResponseJson(const ResponseEnvelope& envelope) {
   } else {
     out += "null";
   }
-  out += ", \"status\": ";
-  AppendJsonString(out, StatusCodeName(envelope.status));
-  out += ", \"degraded\": ";
-  out += envelope.degraded ? "true" : "false";
-  out += ", \"retries\": " + std::to_string(envelope.retries);
-  out += ", \"cache\": ";
-  AppendJsonString(out, CacheStateName(envelope.cache));
+  AppendStringMember(out, ", \"status\": ", StatusCodeName(envelope.status));
+  AppendBoolMember(out, ", \"degraded\": ", envelope.degraded);
+  AppendIntMember(out, ", \"retries\": ", envelope.retries);
+  AppendStringMember(out, ", \"cache\": ", CacheStateName(envelope.cache));
   if (!envelope.fingerprint.empty()) {
-    out += ", \"fingerprint\": ";
-    AppendJsonString(out, envelope.fingerprint);
+    AppendStringMember(out, ", \"fingerprint\": ", envelope.fingerprint);
   }
   if (envelope.retry_after_ms >= 0) {
-    out += ", \"retry_after_ms\": " + std::to_string(envelope.retry_after_ms);
+    AppendIntMember(out, ", \"retry_after_ms\": ", envelope.retry_after_ms);
   }
   if (envelope.serve_ms >= 0.0) {
-    out += ", \"serve_ms\": ";
-    AppendJsonDouble(out, envelope.serve_ms);
+    AppendDoubleMember(out, ", \"serve_ms\": ", envelope.serve_ms);
   }
   if (!envelope.error.empty()) {
-    out += ", \"error\": ";
-    AppendJsonString(out, envelope.error);
+    AppendStringMember(out, ", \"error\": ", envelope.error);
   }
   if (envelope.report != nullptr) {
-    std::ostringstream report;
-    WriteReportJson(report, *envelope.report);
-    std::string body = report.str();
-    while (!body.empty() && body.back() == '\n') body.pop_back();
-    out += ", \"report\": " + body;
+    out += ", \"report\": ";
+    AppendReportJson(out, *envelope.report);
   }
   if (envelope.stats_json != nullptr) {
     out += ", \"stats\": " + *envelope.stats_json;

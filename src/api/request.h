@@ -161,8 +161,9 @@ struct ResponseEnvelope {
 };
 
 /// Serialize the envelope as one line ending in '\n'. The embedded report
-/// is exactly WriteReportJson's object, so existing report tooling can
-/// validate `response["report"]` unchanged.
+/// is appended in place by AppendReportJson, so existing report tooling
+/// can validate `response["report"]` unchanged; strings and numbers go
+/// through util/json_writer.h like every other histk text output.
 std::string WriteResponseJson(const ResponseEnvelope& envelope);
 
 }  // namespace api

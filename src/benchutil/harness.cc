@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <utility>
 
 #include "util/common.h"
+#include "util/json_writer.h"
 
 namespace histk {
 
@@ -52,52 +52,31 @@ std::string SlugOf(const std::string& id) {
   return slug;
 }
 
-void JsonEscapeTo(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // bare inf/nan are not JSON tokens
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 /// Rewrites the whole document: cheap at bench scale, and a crash mid-run
 /// still leaves valid JSON for every completed measurement.
 void WriteJson() {
   BenchLog& log = Log();
   if (!log.active || !JsonEnabled()) return;
-  std::string out = "{\n  \"experiment\": \"";
-  JsonEscapeTo(out, log.experiment);
-  out += "\",\n  \"records\": [";
+  std::string out = "{\n  \"experiment\": ";
+  AppendJsonString(out, log.experiment);
+  out += ",\n  \"records\": [";
   for (size_t i = 0; i < log.records.size(); ++i) {
     const BenchRecord& r = log.records[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"label\": \"";
-    JsonEscapeTo(out, r.label);
-    out += "\", ";
+    AppendStringMember(out, "    {\"label\": ", r.label);
     if (r.is_rate) {
-      out += "\"kind\": \"rate\", \"rate\": " + JsonNumber(r.rate.rate) +
-             ", \"ci_low\": " + JsonNumber(r.rate.ci_low) +
-             ", \"ci_high\": " + JsonNumber(r.rate.ci_high) +
-             ", \"trials\": " + std::to_string(r.rate.trials) + "}";
+      AppendDoubleMember(out, ", \"kind\": \"rate\", \"rate\": ", r.rate.rate);
+      AppendDoubleMember(out, ", \"ci_low\": ", r.rate.ci_low);
+      AppendDoubleMember(out, ", \"ci_high\": ", r.rate.ci_high);
+      AppendIntMember(out, ", \"trials\": ", r.rate.trials);
     } else {
-      out += "\"kind\": \"scalar\", \"mean\": " + JsonNumber(r.scalar.mean) +
-             ", \"stddev\": " + JsonNumber(r.scalar.stddev) +
-             ", \"min\": " + JsonNumber(r.scalar.min) +
-             ", \"max\": " + JsonNumber(r.scalar.max) +
-             ", \"trials\": " + std::to_string(r.scalar.trials) + "}";
+      AppendDoubleMember(out, ", \"kind\": \"scalar\", \"mean\": ", r.scalar.mean);
+      AppendDoubleMember(out, ", \"stddev\": ", r.scalar.stddev);
+      AppendDoubleMember(out, ", \"min\": ", r.scalar.min);
+      AppendDoubleMember(out, ", \"max\": ", r.scalar.max);
+      AppendIntMember(out, ", \"trials\": ", r.scalar.trials);
     }
+    out += "}";
   }
   out += "\n  ]\n}\n";
   // Write-then-rename: a crash mid-run never clobbers the last good

@@ -2,12 +2,12 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
+
+#include "util/json_writer.h"
 
 namespace histk {
 
@@ -17,11 +17,13 @@ constexpr char kDistributionMagic[] = "histk-distribution";
 constexpr char kHistogramMagic[] = "histk-tiling-histogram";
 constexpr char kVersion[] = "v1";
 
-/// Writes a double with enough digits to round-trip exactly.
-void WriteDouble(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10, v);
-  os << buf;
+/// One "<right_end> <value>" line of a histk-tiling-histogram body.
+void WritePieceLine(std::ostream& os, int64_t right_end, double value) {
+  std::string line = std::to_string(right_end);
+  line += ' ';
+  AppendRoundTripDouble(line, value);
+  line += '\n';
+  os << line;
 }
 
 /// Whitespace-separated tokenizer that tracks the 1-based line each token
@@ -186,9 +188,12 @@ bool TokenToF64(const std::string& tok, double& out) {
 void WriteDistribution(std::ostream& os, const Distribution& d) {
   os << kDistributionMagic << ' ' << kVersion << '\n';
   os << "n " << d.n() << '\n';
+  std::string value;  // one entry at a time: memory stays O(1) in n
   for (int64_t i = 0; i < d.n(); ++i) {
-    if (i > 0) os << ' ';
-    WriteDouble(os, d.p(i));
+    value.clear();
+    if (i > 0) value += ' ';
+    AppendRoundTripDouble(value, d.p(i));
+    os << value;
   }
   os << '\n';
 }
@@ -224,9 +229,8 @@ void WriteTilingHistogram(std::ostream& os, const TilingHistogram& h) {
   os << kHistogramMagic << ' ' << kVersion << '\n';
   os << "n " << h.n() << " k " << h.k() << '\n';
   for (int64_t j = 0; j < h.k(); ++j) {
-    os << h.pieces()[static_cast<size_t>(j)].hi << ' ';
-    WriteDouble(os, h.values()[static_cast<size_t>(j)]);
-    os << '\n';
+    WritePieceLine(os, h.pieces()[static_cast<size_t>(j)].hi,
+                   h.values()[static_cast<size_t>(j)]);
   }
 }
 
@@ -266,11 +270,7 @@ void WriteBucketDistribution(std::ostream& os, const Distribution& d) {
   }
   os << kHistogramMagic << ' ' << kVersion << '\n';
   os << "n " << d.n() << " k " << ends.size() << '\n';
-  for (size_t j = 0; j < ends.size(); ++j) {
-    os << ends[j] << ' ';
-    WriteDouble(os, densities[j]);
-    os << '\n';
-  }
+  for (size_t j = 0; j < ends.size(); ++j) WritePieceLine(os, ends[j], densities[j]);
 }
 
 Result<Distribution> ParseBucketDistribution(std::istream& is) {

@@ -1,7 +1,7 @@
 // Text serialization of distributions, tiling histograms, and data sets.
 //
-// Formats (line-oriented, whitespace-tolerant, exact double round-trip via
-// max_digits10):
+// Formats (line-oriented, whitespace-tolerant; values are written by
+// util/json_writer.h's AppendRoundTripDouble, so they round-trip exactly):
 //
 //   histk-distribution v1
 //   n <N>

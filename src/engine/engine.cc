@@ -1,9 +1,6 @@
 #include "engine/engine.h"
 
-#include <cmath>
-#include <cstdio>
-#include <limits>
-#include <ostream>
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
@@ -14,6 +11,7 @@
 #include "sample/sample_set.h"
 #include "stats/bounds.h"
 #include "stats/estimators.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -342,6 +340,54 @@ Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
   return report;
 }
 
+Status ValidateEstimateQueries(int64_t n,
+                               const std::vector<double>& quantile_levels,
+                               const std::vector<Interval>& ranges) {
+  for (double q : quantile_levels) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      return Status::InvalidArgument("quantile levels must be in [0, 1]");
+    }
+  }
+  const Interval domain = Interval::Full(n);
+  for (const Interval& range : ranges) {
+    if (range.empty() || !domain.Contains(range)) {
+      return Status::InvalidArgument("ranges must be non-empty and within [0, n)");
+    }
+  }
+  return Status::Ok();
+}
+
+Result<EstimateAnswers> AnswerEstimateQueries(
+    const TilingHistogram& synopsis, const std::vector<double>& quantile_levels,
+    const std::vector<Interval>& ranges, const Distribution* truth) {
+  EstimateAnswers answers;
+  if (!quantile_levels.empty()) {
+    // Quantiles need a proper distribution; the synopsis can carry zero
+    // mass only if the learner saw no samples at all.
+    double mass = 0.0;
+    for (int64_t j = 0; j < synopsis.k(); ++j) {
+      mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
+              static_cast<double>(synopsis.pieces()[static_cast<size_t>(j)].length());
+    }
+    if (mass <= 0.0) {
+      return Status::Internal("learned synopsis has zero mass; cannot answer quantiles");
+    }
+    const Distribution synopsis_dist = synopsis.ToDistribution();
+    for (double q : quantile_levels) {
+      answers.quantiles.push_back(
+          EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
+    }
+  }
+  for (const Interval& range : ranges) {
+    EstimateAnswers::SelectivityAnswer answer;
+    answer.range = range;
+    answer.estimate = synopsis.Mass(range);
+    if (truth != nullptr) answer.truth = truth->Weight(range);
+    answers.selectivity.push_back(answer);
+  }
+  return answers;
+}
+
 Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
   if (Status s = ValidateCommon(spec); !s.ok()) return s;
   if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
@@ -349,16 +395,10 @@ Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
       !s.ok()) {
     return s;
   }
-  for (double q : spec.quantile_levels) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      return Status::InvalidArgument("quantile levels must be in [0, 1]");
-    }
-  }
-  const Interval domain = Interval::Full(oracle_.n());
-  for (const Interval& range : spec.ranges) {
-    if (range.empty() || !domain.Contains(range)) {
-      return Status::InvalidArgument("ranges must be non-empty and within [0, n)");
-    }
+  if (Status s = ValidateEstimateQueries(oracle_.n(), spec.quantile_levels,
+                                         spec.ranges);
+      !s.ok()) {
+    return s;
   }
   if (truth_ && truth_->n() != oracle_.n()) {
     return Status::InvalidArgument("session truth domain differs from the oracle's");
@@ -381,35 +421,14 @@ Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
     LearnResult result = LearnOnSession(bs, options, rng, spec.draw_threads);
     FillLearnTelemetry(report, result);
     TilingHistogram synopsis = ReduceToKPieces(result.tiling, spec.k);
-
-    EstimateAnswers answers;
-    if (!spec.quantile_levels.empty()) {
-      // Quantiles need a proper distribution; the synopsis can carry zero
-      // mass only if the learner saw no samples at all.
-      double mass = 0.0;
-      for (int64_t j = 0; j < synopsis.k(); ++j) {
-        mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
-                static_cast<double>(synopsis.pieces()[static_cast<size_t>(j)].length());
-      }
-      if (mass <= 0.0) {
-        failure = Status::Internal("learned synopsis has zero mass; cannot answer quantiles");
-        return;
-      }
-      const Distribution synopsis_dist = synopsis.ToDistribution();
-      for (double q : spec.quantile_levels) {
-        answers.quantiles.push_back(
-            EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
-      }
+    Result<EstimateAnswers> answers =
+        AnswerEstimateQueries(synopsis, spec.quantile_levels, spec.ranges,
+                              truth_ ? &*truth_ : nullptr);
+    if (!answers.ok()) {
+      failure = answers.status();
+      return;
     }
-    for (const Interval& range : spec.ranges) {
-      EstimateAnswers::SelectivityAnswer answer;
-      answer.range = range;
-      answer.estimate = synopsis.Mass(range);
-      if (truth_) answer.truth = truth_->Weight(range);
-      answers.selectivity.push_back(answer);
-    }
-
-    report.estimate = std::move(answers);
+    report.estimate = std::move(*answers);
     report.reduced = std::move(synopsis);
     report.learn = std::move(result);
     report.outcome = TaskOutcome::kOk;
@@ -549,203 +568,166 @@ Result<Report> Engine::RunCloseness(const ClosenessSpec& spec) const {
 
 namespace {
 
-void JsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void JsonDouble(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";  // JSON has no inf/nan
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10, v);
-  os << buf;
-}
-
-void JsonTiling(std::ostream& os, const TilingHistogram& h) {
-  os << "{\"n\": " << h.n() << ", \"k\": " << h.k() << ", \"right_ends\": [";
+void AppendTilingJson(std::string& out, const TilingHistogram& h) {
+  AppendIntMember(out, "{\"n\": ", h.n());
+  AppendIntMember(out, ", \"k\": ", h.k());
+  out += ", \"right_ends\": [";
   for (int64_t j = 0; j < h.k(); ++j) {
-    if (j > 0) os << ", ";
-    os << h.pieces()[static_cast<size_t>(j)].hi;
+    if (j > 0) out += ", ";
+    AppendJsonInt(out, h.pieces()[static_cast<size_t>(j)].hi);
   }
-  os << "], \"values\": [";
+  out += "], \"values\": [";
   for (int64_t j = 0; j < h.k(); ++j) {
-    if (j > 0) os << ", ";
-    JsonDouble(os, h.values()[static_cast<size_t>(j)]);
+    if (j > 0) out += ", ";
+    AppendJsonDouble(out, h.values()[static_cast<size_t>(j)]);
   }
-  os << "]}";
+  out += "]}";
 }
 
 }  // namespace
 
-void WriteReportJson(std::ostream& os, const Report& report) {
-  os << "{\"histk_report\": 1, \"task\": ";
-  JsonString(os, report.task);
-  os << ", \"outcome\": ";
-  JsonString(os, TaskOutcomeName(report.outcome));
-  os << ", \"status\": ";
-  JsonString(os, StatusCodeName(report.status));
-  os << ", \"degraded\": " << (report.degraded ? "true" : "false")
-     << ", \"retries\": " << report.retries;
+void AppendReportJson(std::string& out, const Report& report) {
+  AppendStringMember(out, "{\"histk_report\": 1, \"task\": ", report.task);
+  AppendStringMember(out, ", \"outcome\": ", TaskOutcomeName(report.outcome));
+  AppendStringMember(out, ", \"status\": ", StatusCodeName(report.status));
+  AppendBoolMember(out, ", \"degraded\": ", report.degraded);
+  AppendIntMember(out, ", \"retries\": ", report.retries);
 
   const ReportTelemetry& t = report.telemetry;
-  os << ", \"telemetry\": {\"budget\": " << t.budget
-     << ", \"samples_drawn\": " << t.samples_drawn << ", \"wall_ms\": ";
-  JsonDouble(os, t.wall_ms);
-  os << ", \"candidates_per_iter\": " << t.candidates_per_iter
-     << ", \"endpoints_before_thinning\": " << t.endpoints_before_thinning
-     << ", \"endpoints_after_thinning\": " << t.endpoints_after_thinning
-     << ", \"phases\": [";
+  AppendIntMember(out, ", \"telemetry\": {\"budget\": ", t.budget);
+  AppendIntMember(out, ", \"samples_drawn\": ", t.samples_drawn);
+  AppendDoubleMember(out, ", \"wall_ms\": ", t.wall_ms);
+  AppendIntMember(out, ", \"candidates_per_iter\": ", t.candidates_per_iter);
+  AppendIntMember(out, ", \"endpoints_before_thinning\": ",
+                  t.endpoints_before_thinning);
+  AppendIntMember(out, ", \"endpoints_after_thinning\": ", t.endpoints_after_thinning);
+  out += ", \"phases\": [";
   for (size_t i = 0; i < t.phases.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"phase\": ";
-    JsonString(os, t.phases[i].phase);
-    os << ", \"samples\": " << t.phases[i].samples << "}";
+    if (i > 0) out += ", ";
+    AppendStringMember(out, "{\"phase\": ", t.phases[i].phase);
+    AppendIntMember(out, ", \"samples\": ", t.phases[i].samples);
+    out += "}";
   }
-  os << "]}";
+  out += "]}";
 
   if (report.learn) {
     const LearnResult& r = *report.learn;
-    os << ", \"learn\": {\"params\": {\"l\": " << r.params.l
-       << ", \"r\": " << r.params.r << ", \"m\": " << r.params.m
-       << ", \"iterations\": " << r.params.iterations << "}, \"total_samples\": "
-       << r.total_samples << ", \"estimated_cost\": ";
-    JsonDouble(os, r.estimated_cost);
-    os << ", \"priority_entries\": " << r.priority.size() << ", \"tiling\": ";
-    JsonTiling(os, r.tiling);
-    os << "}";
+    AppendIntMember(out, ", \"learn\": {\"params\": {\"l\": ", r.params.l);
+    AppendIntMember(out, ", \"r\": ", r.params.r);
+    AppendIntMember(out, ", \"m\": ", r.params.m);
+    AppendIntMember(out, ", \"iterations\": ", r.params.iterations);
+    AppendIntMember(out, "}, \"total_samples\": ", r.total_samples);
+    AppendDoubleMember(out, ", \"estimated_cost\": ", r.estimated_cost);
+    AppendIntMember(out, ", \"priority_entries\": ", r.priority.size());
+    out += ", \"tiling\": ";
+    AppendTilingJson(out, r.tiling);
+    out += "}";
   }
   if (report.reduced) {
-    os << ", \"reduced\": ";
-    JsonTiling(os, *report.reduced);
+    out += ", \"reduced\": ";
+    AppendTilingJson(out, *report.reduced);
   }
   if (report.test) {
     const TestOutcome& t2 = *report.test;
-    os << ", \"test\": {\"accepted\": " << (t2.accepted ? "true" : "false")
-       << ", \"params\": {\"r\": " << t2.params.r << ", \"m\": " << t2.params.m
-       << "}, \"total_samples\": " << t2.total_samples << ", \"flat_partition\": [";
+    AppendBoolMember(out, ", \"test\": {\"accepted\": ", t2.accepted);
+    AppendIntMember(out, ", \"params\": {\"r\": ", t2.params.r);
+    AppendIntMember(out, ", \"m\": ", t2.params.m);
+    AppendIntMember(out, "}, \"total_samples\": ", t2.total_samples);
+    out += ", \"flat_partition\": [";
     for (size_t i = 0; i < t2.flat_partition.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "[" << t2.flat_partition[i].lo << ", " << t2.flat_partition[i].hi << "]";
+      if (i > 0) out += ", ";
+      AppendIntMember(out, "[", t2.flat_partition[i].lo);
+      AppendIntMember(out, ", ", t2.flat_partition[i].hi);
+      out += "]";
     }
-    os << "]}";
+    out += "]}";
   }
   if (!report.compare.empty()) {
-    os << ", \"compare\": [";
+    out += ", \"compare\": [";
     for (size_t i = 0; i < report.compare.size(); ++i) {
-      if (i > 0) os << ", ";
+      if (i > 0) out += ", ";
       const CompareRow& row = report.compare[i];
-      os << "{\"method\": ";
-      JsonString(os, row.method);
-      os << ", \"pieces\": " << row.pieces << ", \"sse\": ";
-      JsonDouble(os, row.sse);
-      os << ", \"samples\": " << row.samples << "}";
+      AppendStringMember(out, "{\"method\": ", row.method);
+      AppendIntMember(out, ", \"pieces\": ", row.pieces);
+      AppendDoubleMember(out, ", \"sse\": ", row.sse);
+      AppendIntMember(out, ", \"samples\": ", row.samples);
+      out += "}";
     }
-    os << "]";
+    out += "]";
   }
   if (report.property_test) {
     const PropertyTestOutcome& p = *report.property_test;
-    os << ", \"property_test\": {\"accepted\": " << (p.accepted ? "true" : "false")
-       << ", \"params\": {\"learn\": {\"l\": " << p.params.learn.l
-       << ", \"r\": " << p.params.learn.r << ", \"m\": " << p.params.learn.m
-       << ", \"iterations\": " << p.params.learn.iterations
-       << "}, \"verify_r\": " << p.params.verify_r
-       << ", \"verify_m\": " << p.params.verify_m << "}"
-       << ", \"total_samples\": " << p.total_samples
-       << ", \"refinement_parts\": " << p.refinement_parts
-       << ", \"fitted_pieces\": " << p.fitted_pieces << ", \"fit_stat\": ";
-    JsonDouble(os, p.fit_stat);
-    os << ", \"fit_threshold\": ";
-    JsonDouble(os, p.fit_threshold);
-    os << ", \"exception_parts\": " << p.exception_parts << ", \"exception_mass\": ";
-    JsonDouble(os, p.exception_mass);
-    os << ", \"exception_mass_threshold\": ";
-    JsonDouble(os, p.exception_mass_threshold);
-    os << ", \"collision_stat\": ";
-    JsonDouble(os, p.collision_stat);
-    os << ", \"collision_threshold\": ";
-    JsonDouble(os, p.collision_threshold);
-    os << ", \"candidate_l1\": ";
-    JsonDouble(os, p.candidate_l1);
+    AppendBoolMember(out, ", \"property_test\": {\"accepted\": ", p.accepted);
+    AppendIntMember(out, ", \"params\": {\"learn\": {\"l\": ", p.params.learn.l);
+    AppendIntMember(out, ", \"r\": ", p.params.learn.r);
+    AppendIntMember(out, ", \"m\": ", p.params.learn.m);
+    AppendIntMember(out, ", \"iterations\": ", p.params.learn.iterations);
+    AppendIntMember(out, "}, \"verify_r\": ", p.params.verify_r);
+    AppendIntMember(out, ", \"verify_m\": ", p.params.verify_m);
+    AppendIntMember(out, "}, \"total_samples\": ", p.total_samples);
+    AppendIntMember(out, ", \"refinement_parts\": ", p.refinement_parts);
+    AppendIntMember(out, ", \"fitted_pieces\": ", p.fitted_pieces);
+    AppendDoubleMember(out, ", \"fit_stat\": ", p.fit_stat);
+    AppendDoubleMember(out, ", \"fit_threshold\": ", p.fit_threshold);
+    AppendIntMember(out, ", \"exception_parts\": ", p.exception_parts);
+    AppendDoubleMember(out, ", \"exception_mass\": ", p.exception_mass);
+    AppendDoubleMember(out, ", \"exception_mass_threshold\": ",
+                       p.exception_mass_threshold);
+    AppendDoubleMember(out, ", \"collision_stat\": ", p.collision_stat);
+    AppendDoubleMember(out, ", \"collision_threshold\": ", p.collision_threshold);
+    AppendDoubleMember(out, ", \"candidate_l1\": ", p.candidate_l1);
     if (p.candidate) {
-      os << ", \"candidate\": ";
-      JsonTiling(os, *p.candidate);
+      out += ", \"candidate\": ";
+      AppendTilingJson(out, *p.candidate);
     }
-    os << "}";
+    out += "}";
   }
   if (report.closeness) {
     const ClosenessOutcome& c = *report.closeness;
-    os << ", \"closeness\": {\"accepted\": " << (c.accepted ? "true" : "false")
-       << ", \"params\": {\"verify_r\": " << c.params.verify_r
-       << ", \"verify_m\": " << c.params.verify_m << "}"
-       << ", \"total_samples\": " << c.total_samples
-       << ", \"refinement_parts\": " << c.refinement_parts << ", \"statistic\": ";
-    JsonDouble(os, c.statistic);
-    os << ", \"threshold\": ";
-    JsonDouble(os, c.threshold);
+    AppendBoolMember(out, ", \"closeness\": {\"accepted\": ", c.accepted);
+    AppendIntMember(out, ", \"params\": {\"verify_r\": ", c.params.verify_r);
+    AppendIntMember(out, ", \"verify_m\": ", c.params.verify_m);
+    AppendIntMember(out, "}, \"total_samples\": ", c.total_samples);
+    AppendIntMember(out, ", \"refinement_parts\": ", c.refinement_parts);
+    AppendDoubleMember(out, ", \"statistic\": ", c.statistic);
+    AppendDoubleMember(out, ", \"threshold\": ", c.threshold);
     if (c.candidate_p) {
-      os << ", \"candidate_p\": ";
-      JsonTiling(os, *c.candidate_p);
+      out += ", \"candidate_p\": ";
+      AppendTilingJson(out, *c.candidate_p);
     }
     if (c.candidate_q) {
-      os << ", \"candidate_q\": ";
-      JsonTiling(os, *c.candidate_q);
+      out += ", \"candidate_q\": ";
+      AppendTilingJson(out, *c.candidate_q);
     }
-    os << "}";
+    out += "}";
   }
   if (report.estimate) {
     const EstimateAnswers& e = *report.estimate;
-    os << ", \"estimate\": {\"quantiles\": [";
+    out += ", \"estimate\": {\"quantiles\": [";
     for (size_t i = 0; i < e.quantiles.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "{\"q\": ";
-      JsonDouble(os, e.quantiles[i].q);
-      os << ", \"value\": " << e.quantiles[i].value << "}";
+      if (i > 0) out += ", ";
+      AppendDoubleMember(out, "{\"q\": ", e.quantiles[i].q);
+      AppendIntMember(out, ", \"value\": ", e.quantiles[i].value);
+      out += "}";
     }
-    os << "], \"selectivity\": [";
+    out += "], \"selectivity\": [";
     for (size_t i = 0; i < e.selectivity.size(); ++i) {
-      if (i > 0) os << ", ";
+      if (i > 0) out += ", ";
       const auto& sel = e.selectivity[i];
-      os << "{\"lo\": " << sel.range.lo << ", \"hi\": " << sel.range.hi
-         << ", \"estimate\": ";
-      JsonDouble(os, sel.estimate);
-      os << ", \"truth\": ";
+      AppendIntMember(out, "{\"lo\": ", sel.range.lo);
+      AppendIntMember(out, ", \"hi\": ", sel.range.hi);
+      AppendDoubleMember(out, ", \"estimate\": ", sel.estimate);
+      out += ", \"truth\": ";
       if (sel.truth) {
-        JsonDouble(os, *sel.truth);
+        AppendJsonDouble(out, *sel.truth);
       } else {
-        os << "null";
+        out += "null";
       }
-      os << "}";
+      out += "}";
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "}\n";
+  out += "}";
 }
 
 }  // namespace histk

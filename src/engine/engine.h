@@ -29,12 +29,11 @@
 //     examples all go through the facade.
 //   * Every Report carries a uniform telemetry block (samples by phase,
 //     wall time, candidate counts, thinning events) serializable to JSON
-//     via WriteReportJson.
+//     via AppendReportJson.
 #ifndef HISTK_ENGINE_ENGINE_H_
 #define HISTK_ENGINE_ENGINE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <variant>
@@ -224,9 +223,28 @@ struct Report {
   std::optional<ClosenessOutcome> closeness;         ///< closeness
 };
 
-/// Serializes a Report as a single JSON object (schema documented in the
-/// README; validated by tools/check_report_json.py in CI).
-void WriteReportJson(std::ostream& os, const Report& report);
+/// Appends a Report as a single-line JSON object, no trailing newline
+/// (schema documented in the README; validated by
+/// tools/check_report_json.py in CI). Strings and numbers are encoded by
+/// util/json_writer.h, the writer every histk text output shares.
+void AppendReportJson(std::string& out, const Report& report);
+
+/// An estimate task's query checks against a domain of size n: quantile
+/// levels in [0, 1], ranges non-empty and inside [0, n). Engine::Run and
+/// histkd's cache-hit path both apply it, so a bad query fails with the
+/// same status and message whether or not its synopsis is cached.
+Status ValidateEstimateQueries(int64_t n,
+                               const std::vector<double>& quantile_levels,
+                               const std::vector<Interval>& ranges);
+
+/// Answers validated estimate queries from a learned synopsis (already
+/// reduced to k pieces): quantiles of its normalized distribution and the
+/// synopsis mass of each range, plus the exact weight under `truth` when
+/// given. kInternal if quantiles are asked of a zero-mass synopsis. The
+/// one answer path of Engine::Run(EstimateSpec) and histkd's cache hits.
+Result<EstimateAnswers> AnswerEstimateQueries(
+    const TilingHistogram& synopsis, const std::vector<double>& quantile_levels,
+    const std::vector<Interval>& ranges, const Distribution* truth);
 
 /// A session: an oracle, optional ground truth, and a uniform Run() entry
 /// point. The Engine holds references — oracle (and truth, if given by

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "api/json.h"
-#include "dist/quantiles.h"
 #include "histogram/ops.h"
 #include "util/timer.h"
 
@@ -38,25 +37,6 @@ bool DegradedStatus(StatusCode code) {
   }
 }
 
-/// The engine's pre-session estimate validation, replicated for the
-/// cache-hit path (which never enters Engine::Run). Kept in lockstep with
-/// Engine::RunEstimate — the hit/miss parity test pins it.
-Status ValidateEstimateQueries(const RequestSpec& req, int64_t n) {
-  for (double q : req.quantiles) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      return Status::InvalidArgument("quantile levels must be in [0, 1]");
-    }
-  }
-  const Interval domain = Interval::Full(n);
-  for (const Interval& range : req.ranges) {
-    if (range.empty() || !domain.Contains(range)) {
-      return Status::InvalidArgument(
-          "ranges must be non-empty and within [0, n)");
-    }
-  }
-  return Status::Ok();
-}
-
 /// A learn report served from cache: byte-identical to the session that
 /// populated the entry (telemetry included — wall_ms documents the
 /// original learning cost; the envelope's serve_ms carries this
@@ -76,40 +56,16 @@ Report ReconstructLearnReport(const RequestSpec& req,
 }
 
 /// An estimate report answered from the cached synopsis without touching
-/// the oracle: same answer block as Engine::RunEstimate, but
-/// samples_drawn is 0 and there are no phases — the session charged
+/// the oracle: the same AnswerEstimateQueries step as Engine::RunEstimate,
+/// but samples_drawn is 0 and there are no phases — the session charged
 /// nothing.
 Status AnswerEstimateFromSynopsis(const RequestSpec& req,
                                   const CachedSynopsis& cached,
                                   const ServedDataset& ds, Report& out) {
   TilingHistogram synopsis = ReduceToKPieces(cached.result.tiling, req.k);
-  EstimateAnswers answers;
-  if (!req.quantiles.empty()) {
-    double mass = 0.0;
-    for (int64_t j = 0; j < synopsis.k(); ++j) {
-      mass += std::max(synopsis.values()[static_cast<size_t>(j)], 0.0) *
-              static_cast<double>(
-                  synopsis.pieces()[static_cast<size_t>(j)].length());
-    }
-    if (mass <= 0.0) {
-      return Status::Internal(
-          "learned synopsis has zero mass; cannot answer quantiles");
-    }
-    const Distribution synopsis_dist = synopsis.ToDistribution();
-    for (double q : req.quantiles) {
-      answers.quantiles.push_back(
-          EstimateAnswers::QuantileAnswer{q, Quantile(synopsis_dist, q)});
-    }
-  }
-  for (const Interval& range : req.ranges) {
-    EstimateAnswers::SelectivityAnswer answer;
-    answer.range = range;
-    answer.estimate = synopsis.Mass(range);
-    if (ds.session_truth() != nullptr) {
-      answer.truth = ds.session_truth()->Weight(range);
-    }
-    answers.selectivity.push_back(answer);
-  }
+  Result<EstimateAnswers> answers = AnswerEstimateQueries(
+      synopsis, req.quantiles, req.ranges, ds.session_truth());
+  if (!answers.ok()) return answers.status();
   out.task = "estimate";
   out.outcome = TaskOutcome::kOk;
   out.status = StatusCode::kOk;
@@ -122,7 +78,7 @@ Status AnswerEstimateFromSynopsis(const RequestSpec& req,
       cached.result.endpoints_before_thinning;
   out.telemetry.endpoints_after_thinning =
       cached.result.endpoints_after_thinning;
-  out.estimate = std::move(answers);
+  out.estimate = std::move(*answers);
   out.reduced = std::move(synopsis);
   out.learn = cached.result;
   return Status::Ok();
@@ -191,7 +147,7 @@ Status HistkdServer::RunTask(const RequestSpec& req, ResponseEnvelope& env,
   const std::string key = api::CanonicalSynopsisKey(req, ds->fingerprint_hex());
   if (!key.empty()) {
     if (req.kind == RequestKind::kEstimate) {
-      Status s = ValidateEstimateQueries(req, ds->n());
+      Status s = ValidateEstimateQueries(ds->n(), req.quantiles, req.ranges);
       if (!s.ok()) return s;
     }
     std::shared_ptr<const CachedSynopsis> hit = cache_.Lookup(key);

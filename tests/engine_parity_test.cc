@@ -5,7 +5,6 @@
 // <= budget and partial phase telemetry.
 #include "engine/engine.h"
 
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -218,9 +217,9 @@ TEST(EngineParityTest, BudgetExhaustionMidTestNeverAborts) {
 }
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream os;
-  WriteReportJson(os, report);
-  return os.str();
+  std::string json;
+  AppendReportJson(json, report);
+  return json;
 }
 
 TEST(EngineParityTest, PropertyTestReproducesFreeFunction) {

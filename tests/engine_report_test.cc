@@ -4,7 +4,6 @@
 #include "engine/engine.h"
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -17,9 +16,9 @@ namespace histk {
 namespace {
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream os;
-  WriteReportJson(os, report);
-  return os.str();
+  std::string json;
+  AppendReportJson(json, report);
+  return json;
 }
 
 bool Contains(const std::string& haystack, const std::string& needle) {

@@ -124,6 +124,82 @@ TEST(HistkdTest, RepeatLearnHitIsByteIdenticalModuloServeMs) {
   EXPECT_EQ(cold_norm, warm_norm);
 }
 
+// The raw bytes of the report member `key` (an object or array) inside a
+// response line, so hit and miss blocks compare byte for byte.
+std::string ReportMember(const std::string& line, const std::string& key) {
+  const size_t report = line.find("\"report\": ");
+  EXPECT_NE(report, std::string::npos) << line;
+  if (report == std::string::npos) return std::string();
+  const size_t at = line.find("\"" + key + "\": ", report);
+  EXPECT_NE(at, std::string::npos) << key << " in " << line;
+  if (at == std::string::npos) return std::string();
+  const size_t start = at + key.size() + 4;
+  int depth = 0;
+  for (size_t i = start; i < line.size(); ++i) {
+    if (line[i] == '{' || line[i] == '[') ++depth;
+    if ((line[i] == '}' || line[i] == ']') && --depth == 0) {
+      return line.substr(start, i + 1 - start);
+    }
+  }
+  ADD_FAILURE() << "unbalanced " << key << " in " << line;
+  return std::string();
+}
+
+// A cache hit answers estimates through the same AnswerEstimateQueries step
+// as the engine session that missed, so the answer blocks agree byte for
+// byte, and bad queries fail identically whether or not the synopsis is
+// cached. Item-backed datasets answer without a truth column; sketch-backed
+// ones carry the bridged distribution as truth.
+void ExpectEstimateHitMatchesMiss(const std::string& dataset,
+                                  const std::string& in_domain_range,
+                                  const std::string& out_of_domain_range) {
+  const auto line = [&](const std::string& id, const std::string& queries) {
+    return "{\"id\": \"" + id + "\", \"kind\": \"estimate\", \"k\": 3, "
+           "\"eps\": 0.3, " + queries + ", \"dataset\": " + dataset + "}";
+  };
+  const std::string good = "\"quantiles\": [0.25, 0.5, 0.9], \"ranges\": [" +
+                           in_domain_range + "]";
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer warm(options);
+  HistkdServer cold(options);
+
+  const std::string miss = warm.HandleLine(line("m", good));
+  const std::string hit = warm.HandleLine(line("h", good));
+  ASSERT_EQ(GetString(MustParse(miss), "cache"), "miss") << miss;
+  ASSERT_EQ(GetString(MustParse(hit), "cache"), "hit") << hit;
+  EXPECT_EQ(ReportMember(hit, "estimate"), ReportMember(miss, "estimate"));
+  EXPECT_EQ(ReportMember(hit, "reduced"), ReportMember(miss, "reduced"));
+
+  for (const std::string& bad :
+       {std::string("\"quantiles\": [1.5]"),
+        "\"ranges\": [" + out_of_domain_range + "]"}) {
+    const JsonValue on_hit = MustParse(warm.HandleLine(line("bh", bad)));
+    const JsonValue on_miss = MustParse(cold.HandleLine(line("bm", bad)));
+    EXPECT_EQ(GetString(on_hit, "status"), "invalid-argument") << bad;
+    EXPECT_EQ(GetString(on_hit, "status"), GetString(on_miss, "status")) << bad;
+    EXPECT_FALSE(GetString(on_hit, "error").empty()) << bad;
+    EXPECT_EQ(GetString(on_hit, "error"), GetString(on_miss, "error")) << bad;
+  }
+}
+
+TEST(HistkdTest, EstimateHitMatchesMissOnItems) {
+  ExpectEstimateHitMatchesMiss(std::string("{\"items\": ") + kItems + "}",
+                               "[1, 5]", "[0, 100]");
+}
+
+TEST(HistkdTest, EstimateHitMatchesMissOnSketch) {
+  ConcurrentHistogram hist(7);
+  for (uint64_t v = 0; v < 200; ++v) hist.Record(v, 1 + v % 5);
+  const std::string path = testing::TempDir() + "/histkd_parity.sketch";
+  {
+    std::ofstream f(path);
+    WriteSnapshot(f, hist.Snapshot());
+  }
+  ExpectEstimateHitMatchesMiss("{\"sketch\": \"" + path + "\"}", "[3, 90]",
+                               "[0, 1000000000000]");
+}
+
 TEST(HistkdTest, CacheKeyFragmentsOnSeedAndEvictsLru) {
   ServeOptions options;
   options.workers = 1;

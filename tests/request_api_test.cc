@@ -374,9 +374,9 @@ RequestSpec ApiRequest(const std::string& command, const LegacyArgs& args) {
 }
 
 std::string ReportJson(const Report& report) {
-  std::ostringstream out;
-  WriteReportJson(out, report);
-  return out.str();
+  std::string json;
+  AppendReportJson(json, report);
+  return json;
 }
 
 // wall_ms is the one nondeterministic report field; blank it before the
@@ -575,11 +575,10 @@ TEST(ResponseJsonTest, EnvelopeEmbedsTheReportVerbatim) {
   ASSERT_FALSE(line.empty());
   EXPECT_EQ(line.back(), '\n');
 
-  // The embedded object is exactly WriteReportJson's (modulo the trailing
-  // newline), so report tooling can validate response["report"] unchanged.
-  std::string embedded = ReportJson(*report);
-  while (!embedded.empty() && embedded.back() == '\n') embedded.pop_back();
-  EXPECT_NE(line.find("\"report\": " + embedded), std::string::npos);
+  // The embedded object is exactly AppendReportJson's, so report tooling
+  // can validate response["report"] unchanged.
+  EXPECT_NE(line.find("\"report\": " + ReportJson(*report) + "}\n"),
+            std::string::npos);
 
   // And the whole envelope is valid JSON by our own strict parser.
   const Result<JsonValue> round = ParseJson(FirstLine(line));

@@ -118,6 +118,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -537,20 +538,41 @@ const Sampler& MaybeInjectFaults(const Args& args, const Sampler& inner,
   return *storage;
 }
 
-/// Shared unhappy-path handling for the Engine-backed subcommands: invalid
-/// specs exit 2, rejected admission exits 5, exhausted budgets exit 4, and
-/// interrupted sessions (deadline/cancel/unavailable) exit 5 — each after
-/// emitting the JSON report when asked (the report documents the partial
-/// telemetry plus the status/degraded/retries triple).
-int ReportFailure(const Result<Report>& result, bool json) {
+/// The one Engine-backed task path every subcommand shares: flags →
+/// TaskSpec → Engine::Run → output. --json prints the Report (also for
+/// exhausted and interrupted sessions: it documents the partial telemetry
+/// plus the status/degraded/retries triple); otherwise `print_text`
+/// renders a conclusive report. Invalid specs exit 2, rejected admission
+/// exits 5, exhausted budgets exit 4, interrupted sessions (deadline/
+/// cancel/unavailable) exit 5, and conclusive reports exit with their
+/// verdict (REJECT/FAR = 1). `other` is closeness's second oracle.
+int RunTask(const Args& args, const Engine& engine,
+            const std::function<void(const Report&)>& print_text,
+            const Sampler* other = nullptr) {
+  Result<TaskSpec> spec = SpecFromArgs(args);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+    return kExitUsage;
+  }
+  // The API hands ClosenessSpec back with other == nullptr: the second
+  // oracle is the caller's to wire (the daemon resolves it from its store,
+  // the CLI from --other's ingested stream).
+  if (other != nullptr) std::get<ClosenessSpec>(*spec).other = other;
+
+  const Result<Report> result = engine.Run(*spec);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return result.status().code() == StatusCode::kUnavailable ? kExitDeadline
                                                               : kExitUsage;
   }
   const Report& report = *result;
+  if (args.json) {
+    std::string json;
+    AppendReportJson(json, report);
+    json += '\n';
+    std::cout << json;
+  }
   if (report.outcome == TaskOutcome::kBudgetExhausted) {
-    if (json) WriteReportJson(std::cout, report);
     std::fprintf(stderr,
                  "budget exhausted after %lld of %lld oracle draws; partial "
                  "telemetry in the report\n",
@@ -559,9 +581,7 @@ int ReportFailure(const Result<Report>& result, bool json) {
     return kExitBudget;
   }
   if (report.degraded) {
-    if (json) {
-      WriteReportJson(std::cout, report);
-    } else if (report.reduced) {
+    if (!args.json && report.reduced) {
       // Graceful degradation: the best-so-far tiling from the completed part
       // of the sample still goes to stdout, flagged on stderr.
       WriteTilingHistogram(std::cout, *report.reduced);
@@ -576,38 +596,25 @@ int ReportFailure(const Result<Report>& result, bool json) {
                  report.retries == 1 ? "y" : "ies");
     return kExitDeadline;
   }
-  return -1;  // no failure; caller handles the success path
+  if (!args.json) print_text(report);
+  return report.outcome == TaskOutcome::kRejected ? kExitReject : kExitOk;
 }
 
 // learn/test run against whichever Engine the caller built — the dataset
 // oracle (stdin items) or a telemetry bridge (--from-sketch). `source_note`
 // is the stderr provenance line ("stream: ..." / "sketch: ...").
 int RunLearnOn(const Args& args, const Engine& engine, const std::string& source_note) {
-  const Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return kExitOk;
-  }
-  const TilingHistogram& out = args.reduce ? *report.reduced : report.learn->tiling;
-  WriteTilingHistogram(std::cout, out);
-  std::fprintf(stderr, "%s\n", source_note.c_str());
-  std::fprintf(stderr, "drew %lld samples (l=%lld, r=%lld x m=%lld), %lld pieces\n",
-               static_cast<long long>(report.learn->total_samples),
-               static_cast<long long>(report.learn->params.l),
-               static_cast<long long>(report.learn->params.r),
-               static_cast<long long>(report.learn->params.m),
-               static_cast<long long>(out.k()));
-  return kExitOk;
+  return RunTask(args, engine, [&](const Report& report) {
+    const TilingHistogram& out = args.reduce ? *report.reduced : report.learn->tiling;
+    WriteTilingHistogram(std::cout, out);
+    std::fprintf(stderr, "%s\n", source_note.c_str());
+    std::fprintf(stderr, "drew %lld samples (l=%lld, r=%lld x m=%lld), %lld pieces\n",
+                 static_cast<long long>(report.learn->total_samples),
+                 static_cast<long long>(report.learn->params.l),
+                 static_cast<long long>(report.learn->params.r),
+                 static_cast<long long>(report.learn->params.m),
+                 static_cast<long long>(out.k()));
+  });
 }
 
 std::string StreamNote(const Ingested& in) {
@@ -623,34 +630,20 @@ int RunLearn(const Args& args, const Ingested& in) {
 }
 
 int RunTestOn(const Args& args, const Engine& engine, const std::string& source_note) {
-  const Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return report.test->accepted ? kExitOk : kExitReject;
-  }
-  std::fprintf(stderr, "%s\n", source_note.c_str());
-  const TestOutcome& out = *report.test;
-  std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
-  std::printf("samples: %lld (r=%lld x m=%lld), norm: %s\n",
-              static_cast<long long>(out.total_samples),
-              static_cast<long long>(out.params.r),
-              static_cast<long long>(out.params.m), NormName(args.norm));
-  std::printf("flat partition found:");
-  for (const Interval& piece : out.flat_partition) {
-    std::printf(" %s", piece.ToString().c_str());
-  }
-  std::printf("\n");
-  return out.accepted ? kExitOk : kExitReject;
+  return RunTask(args, engine, [&](const Report& report) {
+    std::fprintf(stderr, "%s\n", source_note.c_str());
+    const TestOutcome& out = *report.test;
+    std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
+    std::printf("samples: %lld (r=%lld x m=%lld), norm: %s\n",
+                static_cast<long long>(out.total_samples),
+                static_cast<long long>(out.params.r),
+                static_cast<long long>(out.params.m), NormName(args.norm));
+    std::printf("flat partition found:");
+    for (const Interval& piece : out.flat_partition) {
+      std::printf(" %s", piece.ToString().c_str());
+    }
+    std::printf("\n");
+  });
 }
 
 int RunTest(const Args& args, const Ingested& in) {
@@ -664,40 +657,25 @@ int RunPropertyTest(const Args& args, const Ingested& in) {
   const DatasetSampler sampler(in.n, in.items, args.kernel);
   std::optional<FaultInjectingSampler> faulty;
   const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-
-  const Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  const PropertyTestOutcome& out = *report.property_test;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return out.accepted ? kExitOk : kExitReject;
-  }
-  std::fprintf(stderr, "stream: %lld items, %lld held\n",
-               static_cast<long long>(in.stream_items),
-               static_cast<long long>(in.items.size()));
-  std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
-  std::printf(
-      "samples: %lld (learn %lld + verify %lld x %lld), parts: %lld, "
-      "fit: %.3g vs %.3g, collisions: %.3g vs %.3g, "
-      "exceptions: %lld (mass %.3f vs %.3f)\n",
-      static_cast<long long>(out.total_samples),
-      static_cast<long long>(out.params.learn.TotalSamples()),
-      static_cast<long long>(out.params.verify_r),
-      static_cast<long long>(out.params.verify_m),
-      static_cast<long long>(out.refinement_parts), out.fit_stat, out.fit_threshold,
-      out.collision_stat, out.collision_threshold,
-      static_cast<long long>(out.exception_parts), out.exception_mass,
-      out.exception_mass_threshold);
-  return out.accepted ? kExitOk : kExitReject;
+  return RunTask(args, engine, [&](const Report& report) {
+    const PropertyTestOutcome& out = *report.property_test;
+    std::fprintf(stderr, "stream: %lld items, %lld held\n",
+                 static_cast<long long>(in.stream_items),
+                 static_cast<long long>(in.items.size()));
+    std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
+    std::printf(
+        "samples: %lld (learn %lld + verify %lld x %lld), parts: %lld, "
+        "fit: %.3g vs %.3g, collisions: %.3g vs %.3g, "
+        "exceptions: %lld (mass %.3f vs %.3f)\n",
+        static_cast<long long>(out.total_samples),
+        static_cast<long long>(out.params.learn.TotalSamples()),
+        static_cast<long long>(out.params.verify_r),
+        static_cast<long long>(out.params.verify_m),
+        static_cast<long long>(out.refinement_parts), out.fit_stat, out.fit_threshold,
+        out.collision_stat, out.collision_threshold,
+        static_cast<long long>(out.exception_parts), out.exception_mass,
+        out.exception_mass_threshold);
+  });
 }
 
 int RunCloseness(const Args& args, const Ingested& in, const Ingested& other) {
@@ -714,36 +692,22 @@ int RunCloseness(const Args& args, const Ingested& in, const Ingested& other) {
   Args q_args = args;
   q_args.fault_seed = args.fault_seed ^ 0x9E3779B97F4A7C15ULL;
   const Sampler& oracle_q = MaybeInjectFaults(q_args, sampler_q, faulty_q);
-
-  Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-  // The API hands ClosenessSpec back with other == nullptr: the second
-  // oracle is the caller's to wire (the daemon resolves it from its store,
-  // the CLI from --other's ingested stream).
-  std::get<ClosenessSpec>(*spec).other = &oracle_q;
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  const ClosenessOutcome& out = *report.closeness;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return out.accepted ? kExitOk : kExitReject;
-  }
-  std::fprintf(stderr, "streams: %lld + %lld items over domain [0, %lld)\n",
-               static_cast<long long>(in.stream_items),
-               static_cast<long long>(other.stream_items), static_cast<long long>(n));
-  std::printf("%s\n", out.accepted ? "CLOSE" : "FAR");
-  std::printf(
-      "samples: %lld, refinement: %lld parts, statistic: %.4g vs %.4g\n",
-      static_cast<long long>(out.total_samples),
-      static_cast<long long>(out.refinement_parts), out.statistic, out.threshold);
-  return out.accepted ? kExitOk : kExitReject;
+  return RunTask(
+      args, engine,
+      [&](const Report& report) {
+        const ClosenessOutcome& out = *report.closeness;
+        std::fprintf(stderr, "streams: %lld + %lld items over domain [0, %lld)\n",
+                     static_cast<long long>(in.stream_items),
+                     static_cast<long long>(other.stream_items),
+                     static_cast<long long>(n));
+        std::printf("%s\n", out.accepted ? "CLOSE" : "FAR");
+        std::printf(
+            "samples: %lld, refinement: %lld parts, statistic: %.4g vs %.4g\n",
+            static_cast<long long>(out.total_samples),
+            static_cast<long long>(out.refinement_parts), out.statistic,
+            out.threshold);
+      },
+      &oracle_q);
 }
 
 int RunCompare(const Args& args, const Ingested& in) {
@@ -757,32 +721,17 @@ int RunCompare(const Args& args, const Ingested& in) {
   const AliasSampler sampler(truth, args.kernel);
   std::optional<FaultInjectingSampler> faulty;
   const Engine engine(MaybeInjectFaults(args, sampler, faulty), truth);
-
-  const Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return kExitOk;
-  }
-  std::fprintf(stderr, "stream: %lld items over domain [0, %lld)\n",
-               static_cast<long long>(in.stream_items),
-               static_cast<long long>(in.n));
-  Table table({"method", "pieces", "SSE vs empirical", "samples"});
-  for (const CompareRow& row : report.compare) {
-    table.AddRow({row.method, std::to_string(row.pieces), FmtE(row.sse),
-                  FmtI(row.samples)});
-  }
-  table.Print(std::cout);
-  return kExitOk;
+  return RunTask(args, engine, [&](const Report& report) {
+    std::fprintf(stderr, "stream: %lld items over domain [0, %lld)\n",
+                 static_cast<long long>(in.stream_items),
+                 static_cast<long long>(in.n));
+    Table table({"method", "pieces", "SSE vs empirical", "samples"});
+    for (const CompareRow& row : report.compare) {
+      table.AddRow({row.method, std::to_string(row.pieces), FmtE(row.sse),
+                    FmtI(row.samples)});
+    }
+    table.Print(std::cout);
+  });
 }
 
 // estimate: learn a synopsis, reduce it to k pieces, and answer quantile /
@@ -793,35 +742,20 @@ int RunEstimate(const Args& args, const Ingested& in) {
   const DatasetSampler sampler(in.n, in.items, args.kernel);
   std::optional<FaultInjectingSampler> faulty;
   const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-
-  const Result<TaskSpec> spec = SpecFromArgs(args);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return kExitUsage;
-  }
-
-  const Result<Report> result = engine.Run(*spec);
-  if (const int failure = ReportFailure(result, args.json); failure >= 0) {
-    return failure;
-  }
-  const Report& report = *result;
-  if (args.json) {
-    WriteReportJson(std::cout, report);
-    return kExitOk;
-  }
-  std::fprintf(stderr, "%s\n", StreamNote(in).c_str());
-  const EstimateAnswers& answers = *report.estimate;
-  for (const auto& q : answers.quantiles) {
-    std::printf("quantile %.6g -> %lld\n", q.q,
-                static_cast<long long>(q.value));
-  }
-  for (const auto& s : answers.selectivity) {
-    std::printf("range %s -> %.6g\n", s.range.ToString().c_str(), s.estimate);
-  }
-  std::fprintf(stderr, "synopsis: %lld pieces from %lld samples\n",
-               static_cast<long long>(report.reduced->k()),
-               static_cast<long long>(report.learn->total_samples));
-  return kExitOk;
+  return RunTask(args, engine, [&](const Report& report) {
+    std::fprintf(stderr, "%s\n", StreamNote(in).c_str());
+    const EstimateAnswers& answers = *report.estimate;
+    for (const auto& q : answers.quantiles) {
+      std::printf("quantile %.6g -> %lld\n", q.q,
+                  static_cast<long long>(q.value));
+    }
+    for (const auto& s : answers.selectivity) {
+      std::printf("range %s -> %.6g\n", s.range.ToString().c_str(), s.estimate);
+    }
+    std::fprintf(stderr, "synopsis: %lld pieces from %lld samples\n",
+                 static_cast<long long>(report.reduced->k()),
+                 static_cast<long long>(report.learn->total_samples));
+  });
 }
 
 int RunGen(const Args& args) {

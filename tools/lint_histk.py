@@ -47,6 +47,15 @@ histk idioms the codebase relies on:
                    dispatch API in src/dist/simd/draw_kernels.h, so exactly
                    one directory needs -mavx2 handling, CPUID gating, and
                    scalar-parity review.
+  number-format-containment
+                   Round-trip double formatting — a %g conversion at 17
+                   significant digits, written as a literal precision or
+                   through the numeric_limits max-digits constant — appears
+                   ONLY in the writer module src/util/json_writer.*. Every
+                   report, envelope, bench record and histk-* text format
+                   appends doubles through it, so a number-format change
+                   touches one function. Comments do not count; string
+                   literals (where format strings live) do.
   include-hygiene  No <bits/...> includes, no "../" relative includes, and
                    headers must carry a HISTK_<PATH>_H_ include guard.
   style            No tabs, no trailing whitespace, file ends with exactly
@@ -151,6 +160,13 @@ SIMD_TOKEN_RE = re.compile(
     r"\b(?:_mm\d*_\w+|__m(?:64|128|256|512)[di]?|__builtin_ia32_\w+)\b"
 )
 
+# number-format-containment: the one writer that formats round-trip doubles.
+NUMBER_FORMAT_ALLOW = {
+    "src/util/json_writer.h",
+    "src/util/json_writer.cc",
+}
+NUMBER_FORMAT_RE = re.compile(r"%\.17g|\bmax_digits\d+\b")
+
 INCLUDE_RE = re.compile(r'#include\s*[<"]([^>"]+)[">]')
 GUARD_RE = re.compile(r"#ifndef\s+(HISTK_[A-Z0-9_]+_H_)")
 
@@ -165,9 +181,10 @@ class Finding:
         return f"{self.path}:{self.line}: [histk-{self.rule}] {self.msg}"
 
 
-def strip_comments_and_strings(text):
-    """Blanks out comments and string/char literals, preserving line
-    structure, so the regex rules never fire on documentation or literals."""
+def strip_comments_and_strings(text, keep_strings=False):
+    """Blanks out comments and (unless keep_strings) string/char literals,
+    preserving line structure, so the regex rules never fire on
+    documentation or literals."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -187,7 +204,10 @@ def strip_comments_and_strings(text):
             quote, j = c, i + 1
             while j < n and text[j] != quote:
                 j += 2 if text[j] == "\\" else 1
-            out.append(c + " " * (j - i - 1) + (quote if j < n else ""))
+            if keep_strings:
+                out.append(text[i : j + 1])
+            else:
+                out.append(c + " " * (j - i - 1) + (quote if j < n else ""))
             i = j + 1
         else:
             out.append(c)
@@ -220,6 +240,7 @@ def lint_file(root, rel):
     raw_lines = raw.split("\n")
     code = strip_comments_and_strings(raw)
     code_lines = code.split("\n")
+    with_strings = strip_comments_and_strings(raw, keep_strings=True)
     findings = []
 
     def emit(line, rule, msg):
@@ -276,6 +297,16 @@ def lint_file(root, rel):
                     emit(idx, "engine-budget",
                          f"`{call}({arg}, ...)` draws from an unmetered "
                          "sampler — pass the session's BudgetedSampler")
+
+    # number-format-containment: format strings are literals, so this rule
+    # reads the code with strings kept (comments still blanked).
+    if rel not in NUMBER_FORMAT_ALLOW:
+        for idx, line in enumerate(with_strings.split("\n"), start=1):
+            if NUMBER_FORMAT_RE.search(line):
+                emit(idx, "number-format-containment",
+                     "round-trip double format outside src/util/json_writer.* "
+                     "— append through AppendJsonDouble / "
+                     "AppendRoundTripDouble")
 
     # include-hygiene
     for idx, line in enumerate(code_lines, start=1):
