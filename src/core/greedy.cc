@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
+#include <utility>
 
 #include "util/common.h"
 #include "util/math_util.h"
@@ -14,33 +17,56 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The greedy state: the flattening of the priority histogram built so far,
-/// as contiguous pieces with cached cost estimates.
+/// as contiguous pieces with cached cost estimates, plus the memoized piece
+/// costs of every candidate J (the design is described in greedy.h).
 class GreedyState {
  public:
-  GreedyState(const GreedyEstimator& estimator, int64_t n)
-      : est_(estimator), n_(n) {
+  GreedyState(const GreedyEstimator& estimator, std::vector<int64_t> endpoints)
+      : est_(estimator), n_(estimator.n()), endpoints_(std::move(endpoints)) {
     pieces_.push_back(Interval::Full(n_));
     costs_.push_back(est_.PieceCost(pieces_[0]));
     total_ = costs_[0];
+    const size_t d = endpoints_.size();
+    candidate_costs_.reserve(d * (d + 1) / 2);
+    for (size_t ai = 0; ai < d; ++ai) {
+      for (size_t bi = ai; bi < d; ++bi) {
+        candidate_costs_.push_back(
+            est_.PieceCost(Interval(endpoints_[ai], endpoints_[bi])));
+      }
+    }
   }
 
   double total_cost() const { return total_; }
 
-  /// Total estimated cost if J were added (the paper's c_J), without
-  /// mutating the state.
-  double CostWith(Interval J) const {
-    double delta = est_.PieceCost(J);
-    const size_t first = FirstOverlapping(J);
-    size_t idx = first;
-    for (; idx < pieces_.size() && pieces_[idx].lo <= J.hi; ++idx) {
-      delta -= costs_[idx];
+  int64_t num_candidates() const {
+    return static_cast<int64_t>(candidate_costs_.size());
+  }
+
+  /// The candidate J minimizing the paper's c_J, the total estimated cost
+  /// if J were added; the first minimum in scan order wins. Empty if there
+  /// are no candidates.
+  Interval BestCandidate() {
+    PriceRemnants();
+    double best_cost = kInf;
+    Interval best_j;
+    const size_t d = endpoints_.size();
+    size_t idx = 0;
+    for (size_t ai = 0; ai < d; ++ai) {
+      for (size_t bi = ai; bi < d; ++bi, ++idx) {
+        // The summation order is part of the output: c_J's rounding decides
+        // near-ties, and tests/greedy_golden_test.cc pins the result.
+        double delta = candidate_costs_[idx];
+        for (size_t p = piece_of_[ai]; p <= piece_of_[bi]; ++p) delta -= costs_[p];
+        delta += left_rem_cost_[ai];
+        delta += right_rem_cost_[bi];
+        const double c = total_ + delta;
+        if (c < best_cost) {
+          best_cost = c;
+          best_j = Interval(endpoints_[ai], endpoints_[bi]);
+        }
+      }
     }
-    // Remnants of the clipped boundary pieces.
-    const Interval left_rem(pieces_[first].lo, J.lo - 1);
-    if (!left_rem.empty()) delta += est_.PieceCost(left_rem);
-    const Interval right_rem(J.hi + 1, pieces_[idx - 1].hi);
-    if (!right_rem.empty()) delta += est_.PieceCost(right_rem);
-    return total_ + delta;
+    return best_j;
   }
 
   /// Applies J: replaces the overlapped span by {left remnant, J, right
@@ -110,11 +136,38 @@ class GreedyState {
     return static_cast<size_t>(it - pieces_.begin());
   }
 
+  /// Per endpoint e: the piece containing e, the cost of that piece's part
+  /// left of e, and the cost of its part right of e. An empty remnant costs
+  /// -0.0, the additive identity, so adding it leaves delta's bits as they
+  /// were without the add.
+  void PriceRemnants() {
+    const size_t d = endpoints_.size();
+    piece_of_.resize(d);
+    left_rem_cost_.resize(d);
+    right_rem_cost_.resize(d);
+    size_t p = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const int64_t e = endpoints_[i];
+      while (pieces_[p].hi < e) ++p;
+      piece_of_[i] = p;
+      const Interval left_rem(pieces_[p].lo, e - 1);
+      const Interval right_rem(e + 1, pieces_[p].hi);
+      left_rem_cost_[i] = left_rem.empty() ? -0.0 : est_.PieceCost(left_rem);
+      right_rem_cost_[i] = right_rem.empty() ? -0.0 : est_.PieceCost(right_rem);
+    }
+  }
+
   const GreedyEstimator& est_;
   int64_t n_;
   std::vector<Interval> pieces_;
   std::vector<double> costs_;
   double total_ = 0.0;
+
+  std::vector<int64_t> endpoints_;       // ascending candidate endpoints T'
+  std::vector<double> candidate_costs_;  // PieceCost(J), pairs in scan order
+  std::vector<size_t> piece_of_;         // per endpoint, this iteration
+  std::vector<double> left_rem_cost_;
+  std::vector<double> right_rem_cost_;
 };
 
 /// Candidate endpoint list for Theorem 2: distinct samples and their +-1
@@ -155,6 +208,12 @@ std::vector<int64_t> SampleEndpointList(const GreedyEstimator& est, int64_t n,
   return pts;
 }
 
+/// n(n+1)/2, the number of intervals of [0, n), saturating at INT64_MAX.
+int64_t IntervalCount(int64_t n) {
+  constexpr int64_t kMaxExact = 3'037'000'499;  // largest n with n(n+1) in int64
+  return n <= kMaxExact ? n * (n + 1) / 2 : std::numeric_limits<int64_t>::max();
+}
+
 }  // namespace
 
 const char* CandidateStrategyName(CandidateStrategy s) {
@@ -167,13 +226,6 @@ LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
   const int64_t n = estimator.n();
   HISTK_CHECK(options.k >= 1 && options.eps > 0.0 && options.eps < 1.0);
 
-  GreedyState state(estimator, n);
-  PriorityHistogram priority(n);
-
-  // Enumerate-and-argmin for one iteration over a generic candidate source.
-  const int64_t iterations =
-      options.iterations_override > 0 ? options.iterations_override : params.iterations;
-
   std::vector<int64_t> endpoints;
   int64_t endpoints_before = 0;
   int64_t endpoints_after = 0;
@@ -181,41 +233,23 @@ LearnResult LearnHistogramWithEstimator(const GreedyEstimator& estimator,
     endpoints = SampleEndpointList(estimator, n, options.max_candidates,
                                    options.include_endpoint_neighbors,
                                    endpoints_before, endpoints_after);
+  } else {
+    // Algorithm 1 proper: every point is an endpoint, so the pairs are all
+    // O(n^2) intervals.
+    endpoints.resize(static_cast<size_t>(n));
+    std::iota(endpoints.begin(), endpoints.end(), int64_t{0});
   }
 
-  int64_t candidates = 0;
+  const int64_t iterations =
+      options.iterations_override > 0 ? options.iterations_override : params.iterations;
+  GreedyState state(estimator, std::move(endpoints));
+  PriorityHistogram priority(n);
   for (int64_t iter = 0; iter < iterations; ++iter) {
-    double best_cost = kInf;
-    Interval best_j;
-    candidates = 0;
-    if (options.strategy == CandidateStrategy::kAllIntervals) {
-      for (int64_t a = 0; a < n; ++a) {
-        for (int64_t b = a; b < n; ++b) {
-          const Interval j(a, b);
-          const double c = state.CostWith(j);
-          ++candidates;
-          if (c < best_cost) {
-            best_cost = c;
-            best_j = j;
-          }
-        }
-      }
-    } else {
-      for (size_t ai = 0; ai < endpoints.size(); ++ai) {
-        for (size_t bi = ai; bi < endpoints.size(); ++bi) {
-          const Interval j(endpoints[ai], endpoints[bi]);
-          const double c = state.CostWith(j);
-          ++candidates;
-          if (c < best_cost) {
-            best_cost = c;
-            best_j = j;
-          }
-        }
-      }
-    }
+    const Interval best_j = state.BestCandidate();
     if (best_j.empty()) break;  // no candidates at all (e.g. no samples)
     state.Apply(best_j, priority);
   }
+  const int64_t candidates = iterations > 0 ? state.num_candidates() : 0;
 
   LearnResult result{std::move(priority), state.ToTiling(),   params,
                      estimator.TotalSamples(), candidates,    state.total_cost(),
@@ -234,8 +268,24 @@ Status ValidateLearnOptions(int64_t n, const LearnOptions& options) {
   if (!(options.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (options.max_candidates < 0) {
-    return Status::InvalidArgument("max_candidates must be >= 0 (0 = off)");
+  // The endpoint cap d(d+1)/2 <= max_candidates needs d >= 2; 1 and 2
+  // would derive d = 1, which cannot thin, so the cap would silently be off.
+  if (options.max_candidates < 0 || options.max_candidates == 1 ||
+      options.max_candidates == 2) {
+    return Status::InvalidArgument("max_candidates must be 0 (off) or >= 3, got " +
+                                   std::to_string(options.max_candidates));
+  }
+  if (options.strategy == CandidateStrategy::kAllIntervals &&
+      options.max_candidates > 0) {
+    // Full enumeration cannot thin: every interval is a candidate with its
+    // piece cost memoized, so the cap bounds n instead.
+    const int64_t intervals = IntervalCount(n);
+    if (intervals > options.max_candidates) {
+      return Status::InvalidArgument(
+          "all-intervals enumeration over n = " + std::to_string(n) + " has " +
+          std::to_string(intervals) + " candidate intervals, above max_candidates = " +
+          std::to_string(options.max_candidates) + "; use the sample-endpoints strategy");
+    }
   }
   if (options.iterations_override < 0) {
     return Status::InvalidArgument("iterations_override must be >= 0 (0 = paper)");

@@ -13,6 +13,27 @@
 // the interval J minimizing the total estimated cost of the new tiling;
 // the three paper entries (J, y_J), (I_L, y_IL), (I_R, y_IR) are recorded
 // in the output priority histogram.
+//
+// Memoized candidate scan. Candidates are all pairs ai <= bi of an
+// ascending endpoint list: T' under kSampleEndpoints, every point of [0, n)
+// under kAllIntervals, so one loop serves both strategies. PieceCost(J) is
+// a pure function of J and the drawn samples, so a learn computes it once
+// per candidate into a triangular table in scan order, instead of once per
+// candidate per iteration. Each iteration then prices, once per endpoint,
+// the piece containing it and that piece's left remnant (a function of
+// J.lo only) and right remnant (J.hi only). A candidate costs one table
+// read, a loop over the <= 3*iterations + 1 pieces it overlaps, and two
+// vector reads.
+//
+// Memory: 8 B x candidates_per_iter, at most ~16 MB under the default
+// max_candidates of 2M (ValidateLearnOptions bounds kAllIntervals' n(n+1)/2
+// by the same cap), freed when the learn returns.
+//
+// Results are bit-identical to pricing each candidate from scratch: the
+// table holds the very PieceCost values, and each c_J is summed in the same
+// order (PieceCost(J), minus each overlapped piece left to right, plus the
+// left and right remnants; an empty remnant adds -0.0, which leaves every
+// double unchanged). The strict `<` scan keeps the first minimum.
 #ifndef HISTK_CORE_GREEDY_H_
 #define HISTK_CORE_GREEDY_H_
 
@@ -48,8 +69,9 @@ struct LearnOptions {
   /// Multiplies the paper's sample-count formulas (l and m); 1.0 = paper
   /// constants. Experiments document the scale they run at.
   double sample_scale = 1.0;
-  /// Safety cap on candidate-set size for kSampleEndpoints (the endpoint
-  /// list is thinned evenly if (|T'| choose 2) would exceed this). 0 = off.
+  /// Safety cap on candidate-set size: kSampleEndpoints thins the endpoint
+  /// list evenly if |T'|(|T'|+1)/2 would exceed it; for kAllIntervals,
+  /// ValidateLearnOptions rejects n(n+1)/2 above it. 0 = off, else >= 3.
   int64_t max_candidates = 2'000'000;
   /// Theorem 2 includes the +-1 neighbours of each sample in the endpoint
   /// set T'. Setting this false drops them (ablation E8 measures the cost).
@@ -80,8 +102,9 @@ struct LearnResult {
 /// Non-aborting validation of everything LearnHistogram would otherwise
 /// HISTK_CHECK — including that the derived sample counts are finite and
 /// representable (extreme eps/sample_scale can blow the formulas up to
-/// inf). The facade calls this before touching the oracle, so no
-/// user-supplied spec can reach an abort.
+/// inf) and that max_candidates bounds the candidate table. The facade
+/// calls this before touching the oracle, so no user-supplied spec can
+/// reach an abort or an unbounded allocation.
 Status ValidateLearnOptions(int64_t n, const LearnOptions& options);
 
 /// The options' derived Algorithm 1 parameters (paper formulas + the

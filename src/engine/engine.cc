@@ -115,12 +115,17 @@ Status ValidateCommon(const SpecCommon& common) {
   return Status::Ok();
 }
 
-Status ValidateSynopsisKnobs(int64_t n, int64_t k, double eps, double sample_scale) {
+/// The learner options compare and estimate run: their synopsis knobs on
+/// top of the LearnOptions defaults. Validated and run from this one value,
+/// so validation sees exactly what the learner will.
+LearnOptions SynopsisLearnOptions(int64_t k, double eps, double sample_scale,
+                                  CandidateStrategy strategy) {
   LearnOptions options;
   options.k = k;
   options.eps = eps;
   options.sample_scale = sample_scale;
-  return ValidateLearnOptions(n, options);
+  options.strategy = strategy;
+  return options;
 }
 
 }  // namespace
@@ -262,11 +267,9 @@ Result<Report> Engine::RunTest(const TestSpec& spec) const {
 
 Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
   if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
-                                       spec.sample_scale);
-      !s.ok()) {
-    return s;
-  }
+  const LearnOptions options =
+      SynopsisLearnOptions(spec.k, spec.eps, spec.sample_scale, spec.strategy);
+  if (Status s = ValidateLearnOptions(oracle_.n(), options); !s.ok()) return s;
   if (!truth_) {
     return Status::InvalidArgument(
         "compare task needs a session ground-truth distribution");
@@ -287,11 +290,6 @@ Result<Report> Engine::RunCompare(const CompareSpec& spec) const {
   const BudgetedSampler bs(oracle_, spec.budget, &spec.policy);
   Rng rng(spec.seed);
   RunGuarded(report, [&] {
-    LearnOptions options;
-    options.k = spec.k;
-    options.eps = spec.eps;
-    options.sample_scale = spec.sample_scale;
-    options.strategy = spec.strategy;
     LearnResult result = LearnOnSession(bs, options, rng, spec.draw_threads);
     FillLearnTelemetry(report, result);
     TilingHistogram reduced = ReduceToKPieces(result.tiling, spec.k);
@@ -390,11 +388,9 @@ Result<EstimateAnswers> AnswerEstimateQueries(
 
 Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
   if (Status s = ValidateCommon(spec); !s.ok()) return s;
-  if (Status s = ValidateSynopsisKnobs(oracle_.n(), spec.k, spec.eps,
-                                       spec.sample_scale);
-      !s.ok()) {
-    return s;
-  }
+  const LearnOptions options = SynopsisLearnOptions(
+      spec.k, spec.eps, spec.sample_scale, CandidateStrategy::kSampleEndpoints);
+  if (Status s = ValidateLearnOptions(oracle_.n(), options); !s.ok()) return s;
   if (Status s = ValidateEstimateQueries(oracle_.n(), spec.quantile_levels,
                                          spec.ranges);
       !s.ok()) {
@@ -414,10 +410,6 @@ Result<Report> Engine::RunEstimate(const EstimateSpec& spec) const {
   Rng rng(spec.seed);
   Status failure = Status::Ok();
   RunGuarded(report, [&] {
-    LearnOptions options;
-    options.k = spec.k;
-    options.eps = spec.eps;
-    options.sample_scale = spec.sample_scale;
     LearnResult result = LearnOnSession(bs, options, rng, spec.draw_threads);
     FillLearnTelemetry(report, result);
     TilingHistogram synopsis = ReduceToKPieces(result.tiling, spec.k);

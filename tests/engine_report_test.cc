@@ -214,6 +214,36 @@ TEST(EngineReportTest, InvalidSpecsReturnStatusesNotAborts) {
   EXPECT_EQ(engine.Run(big_count).status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EngineReportTest, FullEnumerationPastMaxCandidatesIsRejectedUpFront) {
+  // n(n+1)/2 = 2001000 intervals at n = 2000 exceed the default cap of 2M:
+  // learn and compare reject the spec before drawing anything, naming both
+  // numbers. Compare validates the strategy it runs, not just its knobs.
+  const Distribution truth = Distribution::Uniform(2000);
+  const AliasSampler sampler(truth);
+  const Engine engine(sampler, truth);
+
+  LearnSpec learn;
+  learn.options.k = 2;
+  learn.options.eps = 0.3;
+  learn.options.strategy = CandidateStrategy::kAllIntervals;
+  const Result<Report> learn_run = engine.Run(learn);
+  ASSERT_EQ(learn_run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Contains(learn_run.status().message(), "2001000"));
+  EXPECT_TRUE(Contains(learn_run.status().message(), "2000000"));
+
+  CompareSpec compare;
+  compare.k = 2;
+  compare.eps = 0.3;
+  compare.strategy = CandidateStrategy::kAllIntervals;
+  const Result<Report> compare_run = engine.Run(compare);
+  ASSERT_EQ(compare_run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Contains(compare_run.status().message(), "max_candidates"));
+
+  // The cap is the bound: lifting it (0 = off) makes the spec valid again.
+  learn.options.max_candidates = 0;
+  EXPECT_TRUE(ValidateLearnOptions(sampler.n(), learn.options).ok());
+}
+
 TEST(EngineReportTest, CompareBudgetExhaustionKeepsTelemetryOnly) {
   const Distribution truth = TruthDist();
   const AliasSampler sampler(truth);

@@ -1,5 +1,7 @@
 #include "core/greedy.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "baseline/voptimal_dp.h"
@@ -159,6 +161,47 @@ TEST(GreedyTest, MaxCandidatesCapThinsEndpoints) {
   opt.max_candidates = 50;
   const LearnResult res = LearnHistogram(sampler, opt, rng);
   EXPECT_LE(res.candidates_per_iter, 50);
+}
+
+TEST(GreedyTest, MaxCandidatesBelowThreeIsRejected) {
+  // 1 and 2 derive an endpoint limit of 1, which cannot thin: the cap
+  // would silently turn off instead of bounding the scan.
+  LearnOptions opt = FastOptions(2, 0.3);
+  for (int64_t cap : {int64_t{-1}, int64_t{1}, int64_t{2}}) {
+    opt.max_candidates = cap;
+    const Status s = ValidateLearnOptions(256, opt);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << cap;
+    EXPECT_NE(s.message().find("0 (off) or >= 3"), std::string::npos) << cap;
+  }
+  for (int64_t cap : {int64_t{0}, int64_t{3}}) {
+    opt.max_candidates = cap;
+    EXPECT_TRUE(ValidateLearnOptions(256, opt).ok()) << cap;
+  }
+
+  // The smallest accepted cap really thins: d(d+1)/2 <= 3 -> d = 2.
+  Rng rng(215);
+  const AliasSampler sampler(Distribution::Uniform(64));
+  opt.max_candidates = 3;
+  const LearnResult res = LearnHistogram(sampler, opt, rng);
+  EXPECT_EQ(res.endpoints_after_thinning, 2);
+  EXPECT_EQ(res.candidates_per_iter, 3);
+}
+
+TEST(GreedyTest, AllIntervalsDomainIsBoundedByMaxCandidates) {
+  LearnOptions opt = FastOptions(2, 0.3);
+  opt.strategy = CandidateStrategy::kAllIntervals;
+  EXPECT_TRUE(ValidateLearnOptions(1999, opt).ok());  // 1999000 intervals
+  const Status s = ValidateLearnOptions(2000, opt);   // 2001000 > 2000000
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("2001000"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("max_candidates = 2000000"), std::string::npos)
+      << s.message();
+  opt.max_candidates = 0;
+  EXPECT_TRUE(ValidateLearnOptions(2000, opt).ok());
+  // Saturates instead of overflowing on huge domains.
+  opt.max_candidates = 2'000'000;
+  EXPECT_EQ(ValidateLearnOptions(int64_t{1} << 40, opt).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GreedyTest, ReportsSampleAccounting) {

@@ -506,6 +506,26 @@ TEST(HistkdTest, UnknownFingerprintIsActionableError) {
             std::string::npos);
 }
 
+TEST(HistkdTest, OversizedFullEnumerationIsTypedErrorAndServingContinues) {
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+
+  // n = 4096 has 8390656 intervals, past the default max_candidates.
+  const JsonValue rejected = MustParse(server.HandleLine(
+      "{\"id\": \"big\", \"kind\": \"learn\", \"k\": 4, \"eps\": 0.2, "
+      "\"n\": 4096, \"full_enum\": true, \"dataset\": {\"items\": " +
+      std::string(kItems) + "}}"));
+  EXPECT_EQ(GetString(rejected, "id"), "big");
+  EXPECT_EQ(GetString(rejected, "status"), "invalid-argument");
+  const std::string error = GetString(rejected, "error");
+  EXPECT_NE(error.find("8390656"), std::string::npos) << error;
+  EXPECT_NE(error.find("max_candidates = 2000000"), std::string::npos) << error;
+
+  EXPECT_EQ(GetString(MustParse(server.HandleLine(LearnLine("after"))), "status"),
+            "ok");
+}
+
 TEST(HistkdTest, ClosenessResolvesBothOraclesAndChecksDomains) {
   ServeOptions options;
   options.workers = 1;
