@@ -5,8 +5,7 @@
 //   1. alias ns/draw — the batched DrawManyInto kernel, dense (n = 2^20)
 //      and bucketed (n = 2^30, k = 1000), replay kernel (byte-identical
 //      to the PR 2/3 stream; must stay at or under the BENCH_e12 baseline
-//      of ~17-18 ns/draw), the opt-in packed kernel, and the simd kernel
-//      on both its dispatched backend and (bucket) the forced-scalar
+//      of ~17-18 ns/draw) and the opt-in simd kernel on both its dispatched backend and (bucket) the forced-scalar
 //      reference; full mode adds a w in {1,2,4,8} threads sweep over the
 //      sharded draw/count paths for the weekly multi-core runner.
 //   2. fused vs materialize — SampleSet::Draw (Sampler::DrawCounts through
@@ -168,14 +167,12 @@ void RunExperiment() {
       "m = 10^7 (bucketed), with alias ns/draw at or under the e12 baseline",
       smoke ? "SMOKE mode: batches <= 10^6 draws, 10^8 rows skipped"
             : "dense n=2^20 (k=200) and bucketed n=2^30 (k=1000) random "
-              "k-histograms; replay kernel unless marked packed");
+              "k-histograms; replay kernel unless marked simd");
 
   const Distribution dense = DenseDist();
   const Distribution bucket = BucketDist();
   const AliasSampler dense_replay(dense);
-  const AliasSampler dense_packed(dense, AliasKernel::kPacked);
   const AliasSampler bucket_replay(bucket);
-  const AliasSampler bucket_packed(bucket, AliasKernel::kPacked);
   // kSimd resolves its backend at construction: one pair on live dispatch
   // (AVX2 where available) and one bucket sampler pinned to the scalar
   // reference so the fallback's cost is tracked on every runner.
@@ -203,10 +200,8 @@ void RunExperiment() {
       const AliasSampler* sampler;
     };
     const Row rows[] = {{"dense", "replay", &dense_replay},
-                        {"dense", "packed", &dense_packed},
                         {"dense", "simd", &dense_simd},
                         {"bucket", "replay", &bucket_replay},
-                        {"bucket", "packed", &bucket_packed},
                         {"bucket", "simd", &bucket_simd},
                         {"bucket", "simd_scalar", &bucket_simd_scalar}};
     for (const Row& row : rows) {
@@ -387,8 +382,8 @@ void RunExperiment() {
       "\nshape check: the fused path never allocates the m-element draw\n"
       "vector, and on sparse domains it replaces the global sort with\n"
       "cache-resident partition sorts — that is where the speedup comes\n"
-      "from. The packed kernel trades byte-compatibility (one/two u64 per\n"
-      "draw, branchless multiply-shift) for raw throughput and is opt-in.\n");
+      "from. The simd kernel trades byte-compatibility (block-structured\n"
+      "lanes, multiply-shift picks) for raw throughput and is opt-in.\n");
 }
 
 void BM_E13(benchmark::State& state) {

@@ -395,6 +395,14 @@ Result<TaskSpec> BuildTaskSpec(const RequestSpec& req) {
   return Status::Internal("unhandled request kind");
 }
 
+Status CheckClosenessDomains(int64_t p_n, int64_t q_n) {
+  if (p_n == q_n) return Status::Ok();
+  return Status::InvalidArgument(
+      "closeness oracles must share a domain: p has n=" + std::to_string(p_n) +
+      ", q has n=" + std::to_string(q_n) +
+      " (load both with an explicit --n / \"n\")");
+}
+
 std::string CanonicalSynopsisKey(const RequestSpec& req,
                                  const std::string& fingerprint) {
   if (req.kind != RequestKind::kLearn && req.kind != RequestKind::kEstimate) {

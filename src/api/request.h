@@ -103,7 +103,10 @@ struct RequestSpec {
   /// Domain size when the source cannot declare one (inline items, path
   /// files); 0 = derive from max item + 1.
   int64_t n = 0;
-  /// Reservoir cap for kPath ingestion (matches the CLI flag's default).
+  /// Held-item cap shared by both frontends: histk_cli's --reservoir (for
+  /// stdin and --other) and histkd's "reservoir" (for "path" files). A
+  /// data set with more items is refused, never subsampled (see
+  /// ParseDataset in dist/io.h).
   int64_t reservoir = int64_t{1} << 20;
 
   DatasetRef dataset;
@@ -122,6 +125,11 @@ Result<RequestSpec> ParseRequestJson(const std::string& line);
 /// oracles and must wire the second one in before Run().
 /// kStats/kShutdown have no TaskSpec and return kInvalidArgument.
 Result<TaskSpec> BuildTaskSpec(const RequestSpec& req);
+
+/// Closeness compares p and q over one domain: InvalidArgument naming both
+/// sizes unless p_n == q_n. histk_cli and histkd apply it after resolving
+/// the two data sets (each domain is max item + 1 unless "n" is set).
+Status CheckClosenessDomains(int64_t p_n, int64_t q_n);
 
 /// The canonical cache key for the learned synopsis a request depends on:
 /// exactly the fields that determine the learn computation (k, eps, scale,

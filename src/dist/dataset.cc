@@ -1,12 +1,18 @@
 #include "dist/dataset.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "dist/empirical.h"
 #include "util/common.h"
 
 namespace histk {
+
+int64_t DatasetDomain(int64_t n, const std::vector<int64_t>& items) {
+  if (n > 0) return n;
+  return items.empty() ? 0 : *std::max_element(items.begin(), items.end()) + 1;
+}
 
 DatasetSampler::DatasetSampler(int64_t n, std::vector<int64_t> items,
                                AliasKernel kernel)
@@ -40,22 +46,21 @@ void DatasetSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
     }
     return;
   }
-  if (kernel_ == AliasKernel::kPacked) {
-    // One NextU64 per draw, multiply-shift pick (same < size/2^64 bias
-    // bound as the alias kernels' column pick).
-    const int64_t* items = items_.data();
-    const uint64_t size = items_.size();
-    for (int64_t i = 0; i < m; ++i) {
-      const __uint128_t mm = static_cast<__uint128_t>(rng.NextU64()) * size;
-      out[i] = items[static_cast<size_t>(mm >> 64)];
-    }
-    return;
-  }
   for (int64_t i = 0; i < m; ++i) out[i] = DrawImpl(rng);
 }
 
 Distribution DatasetSampler::EmpiricalDist() const {
   return EmpiricalDistribution(n_, items_);
+}
+
+Result<Distribution> DatasetSampler::TruthDist() const {
+  if (n_ > kMaxTruthDomain) {
+    return Status::InvalidArgument(
+        "compare and voptimal need a dense ground truth; domain " +
+        std::to_string(n_) + " exceeds the cap " +
+        std::to_string(kMaxTruthDomain));
+  }
+  return EmpiricalDist();
 }
 
 }  // namespace histk

@@ -326,26 +326,32 @@ Status ScanDataset(std::istream& is,
   return Status::Ok();
 }
 
-Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n) {
+Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n,
+                                          int64_t max_items) {
+  if (max_items <= 0) {
+    return Status::InvalidArgument(
+        "the held-item cap (--reservoir / \"reservoir\") must be > 0, got " +
+        std::to_string(max_items));
+  }
   std::vector<int64_t> items;
   const Status s = ScanDataset(is, [&](int64_t v, int64_t line) -> Status {
-    if (v < 0) {
-      return Status::ParseError("line " + std::to_string(line) +
-                                ": items must be non-negative");
+    if (v < 0 || (n > 0 && v >= n)) {
+      return Status::ParseError(
+          "line " + std::to_string(line) + ": item " + std::to_string(v) +
+          " outside the dataset domain " +
+          (n > 0 ? "[0, " + std::to_string(n) + ")" : "(items must be >= 0)"));
     }
-    if (n > 0 && v >= n) {
-      return Status::ParseError("line " + std::to_string(line) + ": item " +
-                                std::to_string(v) + " outside [0, n)");
+    if (static_cast<int64_t>(items.size()) == max_items) {
+      return Status::InvalidArgument(
+          "dataset exceeds the held-item cap of " + std::to_string(max_items) +
+          " items; raise --reservoir / \"reservoir\" or pre-sample the file");
     }
     items.push_back(v);
     return Status::Ok();
   });
   if (!s.ok()) return s;
+  if (items.empty()) return Status::InvalidArgument("dataset has no items");
   return items;
-}
-
-std::optional<std::vector<int64_t>> ReadDataset(std::istream& is, int64_t n) {
-  return DiscardStatus(ParseDataset(is, n));
 }
 
 }  // namespace histk

@@ -89,18 +89,23 @@ bool TokenToF64(const std::string& token, double& out);
 /// integer token in order (any value, including negatives — filtering is
 /// the caller's policy) with its 1-based line number; a non-ok return stops
 /// the scan and is propagated. ParseError on a malformed token or a stream
-/// read error, again with the line. This is the one dataset grammar —
-/// ParseDataset and histk_cli's chunked ingestion are both built on it.
+/// read error, again with the line. This is the one dataset grammar;
+/// ParseDataset is the one policy on top of it.
 Status ScanDataset(std::istream& is,
                    const std::function<Status(int64_t item, int64_t line)>& item);
 
-/// Reads a data set (one integer per line) until EOF. ParseError (with line
-/// number) if the stream contains a non-integer token or an item outside
-/// [0, n) for n > 0 (pass n = 0 to accept any non-negative items).
-Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n = 0);
-
-/// ParseDataset with the diagnosis discarded (historical API).
-std::optional<std::vector<int64_t>> ReadDataset(std::istream& is, int64_t n = 0);
+/// Reads a data set (one integer per line) until EOF: the one item-file
+/// reader, behind histk_cli's stdin and --other and histkd's "path" refs,
+/// so both frontends hold exactly D or refuse it with the same status.
+///   * ParseError naming the line: a non-integer token, a negative item,
+///     or an item outside [0, n) when n > 0 (n <= 0 accepts any
+///     non-negative item; the domain is then max item + 1).
+///   * InvalidArgument: more than `max_items` items (the message names the
+///     cap and its --reservoir / "reservoir" knob), `max_items` <= 0, or
+///     no items at all.
+/// The data set is never subsampled: past the cap it is refused whole.
+Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n,
+                                          int64_t max_items);
 
 }  // namespace histk
 

@@ -148,8 +148,6 @@ const char* AliasKernelName(AliasKernel kernel) {
   switch (kernel) {
     case AliasKernel::kReplay:
       return "replay";
-    case AliasKernel::kPacked:
-      return "packed";
     case AliasKernel::kSimd:
       return "simd";
   }
@@ -347,57 +345,6 @@ void AliasSampler::ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const {
   }
 }
 
-void AliasSampler::PackedDenseInto(int64_t* out, int64_t m, Rng& rng) const {
-  const DenseCol* const cols = dense_cols_.data();
-  const uint64_t ncols = static_cast<uint64_t>(dense_cols_.size());
-  // One u64 per draw: the top of the 128-bit product picks the column, the
-  // low half is (conditionally) uniform inside it and becomes the accept
-  // variate. Branchless; unrolled 4-wide so the four independent table
-  // loads overlap the serial rng chain.
-  const auto pick = [cols, ncols](uint64_t x) {
-    const __uint128_t mm = static_cast<__uint128_t>(x) * ncols;
-    const auto c = static_cast<size_t>(mm >> 64);
-    const double u01 =
-        static_cast<double>(static_cast<uint64_t>(mm) >> 11) * 0x1.0p-53;
-    const DenseCol& col = cols[c];
-    return u01 < col.prob ? static_cast<int64_t>(c) : col.alias;
-  };
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const uint64_t x0 = rng.NextU64();
-    const uint64_t x1 = rng.NextU64();
-    const uint64_t x2 = rng.NextU64();
-    const uint64_t x3 = rng.NextU64();
-    out[i] = pick(x0);
-    out[i + 1] = pick(x1);
-    out[i + 2] = pick(x2);
-    out[i + 3] = pick(x3);
-  }
-  for (; i < m; ++i) out[i] = pick(rng.NextU64());
-}
-
-void AliasSampler::PackedBucketInto(int64_t* out, int64_t m, Rng& rng) const {
-  const BucketCol* const cols = bucket_cols_.data();
-  const uint64_t ncols = static_cast<uint64_t>(bucket_cols_.size());
-  // Exactly two u64 per draw (the offset draw is unconditional — a
-  // multiply-shift over len 1 is just 0), so the loop is fully branchless.
-  for (int64_t i = 0; i < m; ++i) {
-    const uint64_t x = rng.NextU64();
-    const __uint128_t mm = static_cast<__uint128_t>(x) * ncols;
-    const auto c = static_cast<size_t>(mm >> 64);
-    const double u01 =
-        static_cast<double>(static_cast<uint64_t>(mm) >> 11) * 0x1.0p-53;
-    const BucketCol& col = cols[c];
-    const bool self = u01 < col.prob;
-    const int64_t run_lo = self ? col.lo_self : col.lo_alias;
-    const int64_t run_len = self ? col.len_self : col.len_alias;
-    const uint64_t y = rng.NextU64();
-    const auto off = static_cast<int64_t>(
-        (static_cast<__uint128_t>(y) * static_cast<uint64_t>(run_len)) >> 64);
-    out[i] = run_lo + off;
-  }
-}
-
 void AliasSampler::SimdInto(int64_t* out, int64_t m, Rng& rng) const {
   // Fixed kShardChunk blocks, one NextU64 root per block, regardless of how
   // the caller batches: DrawMany(m) and DrawCounts(m) consume the rng
@@ -429,8 +376,6 @@ void AliasSampler::DrawManyInto(int64_t* out, int64_t m, Rng& rng) const {
   HISTK_CHECK(m >= 0);
   if (kernel_ == AliasKernel::kSimd) {
     SimdInto(out, m, rng);
-  } else if (kernel_ == AliasKernel::kPacked) {
-    bucketed_ ? PackedBucketInto(out, m, rng) : PackedDenseInto(out, m, rng);
   } else {
     bucketed_ ? ReplayBucketInto(out, m, rng) : ReplayDenseInto(out, m, rng);
   }

@@ -30,7 +30,7 @@
 // regardless of which path a caller uses; the sharded paths consume exactly
 // one NextU64 and replay at any worker count. AliasSampler's default kernel
 // is additionally byte-identical to the historical (PR 2/3) per-draw
-// sequence; the reordered fast kernel is opt-in (AliasKernel::kPacked).
+// sequence; the reordered vectorized kernel is opt-in (AliasKernel::kSimd).
 //
 // Samplers are immutable after construction and hold no rng state, so one
 // sampler can serve many threads as long as each thread draws from its own
@@ -151,15 +151,6 @@ enum class AliasKernel {
   /// sampler (UniformInt(columns), NextDouble, and — bucket mode, length
   /// > 1 only — UniformInt(len)). Every seeded experiment replays.
   kReplay,
-  /// Opt-in fast path with a REORDERED rng stream: one NextU64 per draw
-  /// (dense) or exactly two (bucket mode, even for singleton runs), with
-  /// column and offset picked by 128-bit multiply-shift instead of
-  /// rejection. Fully branchless. Still deterministic per seed and
-  /// thread-count invariant, but NOT byte-compatible with kReplay streams.
-  /// The multiply-shift pick carries a relative bias below columns/2^64
-  /// (< 2^-40 for any realistic table) — far under sampling noise, but not
-  /// the exactly-unbiased Lemire pick, which is why this is opt-in.
-  kPacked,
   /// Opt-in vectorized path (src/dist/simd/): kSimdLanes independent
   /// xoshiro lanes per step, alias lookups by AVX2 gather when the build
   /// (HISTK_SIMD) and the CPU (runtime CPUID, resolved once at sampler
@@ -170,14 +161,17 @@ enum class AliasKernel {
   /// so DrawMany / DrawCounts / the sharded paths all agree and stay
   /// thread-count invariant. Scalar Draw() loops therefore do NOT match
   /// DrawMany draw-for-draw (each Draw is its own one-block batch);
-  /// batch-path parity is what the engine suites pin. Same multiply-shift
-  /// pick (and bias bound) as kPacked; accept tests are integer thresholds
+  /// batch-path parity is what the engine suites pin. Column and offset
+  /// picks are 128-bit multiply-shifts, whose relative bias stays below
+  /// columns/2^64 (< 2^-40 for any realistic table) — far under sampling
+  /// noise, but not the exactly-unbiased Lemire pick, which is one reason
+  /// this is opt-in. Accept tests are integer thresholds
   /// (simd::AcceptThreshold), exact to 2^-53. NOT byte-compatible with
-  /// kReplay or kPacked streams.
+  /// kReplay streams.
   kSimd,
 };
 
-/// Human-readable kernel name ("replay" / "packed" / "simd") for CLI and
+/// Human-readable kernel name ("replay" / "simd") for CLI and
 /// bench labels.
 const char* AliasKernelName(AliasKernel kernel);
 
@@ -217,8 +211,6 @@ class AliasSampler : public Sampler {
 
   void ReplayDenseInto(int64_t* out, int64_t m, Rng& rng) const;
   void ReplayBucketInto(int64_t* out, int64_t m, Rng& rng) const;
-  void PackedDenseInto(int64_t* out, int64_t m, Rng& rng) const;
-  void PackedBucketInto(int64_t* out, int64_t m, Rng& rng) const;
   /// kSimd batch loop: cuts m into kShardChunk blocks, spends one NextU64
   /// per block as the lane root, and runs the dispatched kernel on each.
   void SimdInto(int64_t* out, int64_t m, Rng& rng) const;
@@ -231,7 +223,7 @@ class AliasSampler : public Sampler {
   /// kSimd only: the gather-friendly all-integer table (dense: kDenseStride
   /// u64 per column; bucket: kBucketStride), thresholds precomputed by
   /// simd::AcceptThreshold, plus the kernel chosen at construction. The
-  /// replay/packed column vectors stay empty in this mode.
+  /// replay column vectors stay empty in this mode.
   std::vector<uint64_t> simd_cells_;
   uint64_t simd_ncols_ = 0;
   simd::DenseDrawFn simd_dense_fn_ = nullptr;

@@ -105,14 +105,12 @@ bool ServedDataset::MatchesSketchWire(const std::string& wire) const {
 Result<const Engine*> ServedDataset::TruthEngine() const {
   if (sketch_backed()) return engine_.get();  // already carries truth
   std::call_once(truth_once_, [this] {
-    if (n_ > kMaxTruthDomain) {
-      truth_status_ = Status::InvalidArgument(
-          "compare needs a dense ground truth; domain " + std::to_string(n_) +
-          " exceeds the serving cap " + std::to_string(kMaxTruthDomain));
+    Result<Distribution> truth = items_oracle_->TruthDist();
+    if (!truth.ok()) {
+      truth_status_ = truth.status();
       return;
     }
-    truth_engine_ = std::make_unique<Engine>(*items_oracle_,
-                                             items_oracle_->EmpiricalDist());
+    truth_engine_ = std::make_unique<Engine>(*items_oracle_, *truth);
   });
   if (!truth_status_.ok()) return truth_status_;
   return truth_engine_.get();
@@ -175,6 +173,45 @@ void DatasetStore::InsertLocked(std::shared_ptr<ServedDataset> dataset) {
   }
 }
 
+Result<std::shared_ptr<ServedDataset>> DatasetStore::LoadOrReuse(
+    uint64_t fingerprint,
+    const std::function<bool(const ServedDataset&)>& same_content,
+    const std::function<Result<std::shared_ptr<ServedDataset>>()>& build) {
+  // FNV-1a is not collision-resistant: reusing a live entry for new bytes
+  // demands actual content equality, or a crafted collision silently
+  // serves another dataset's answers. `reuse` runs under mu_.
+  auto reuse = [&](std::shared_ptr<ServedDataset> ds)
+      -> Result<std::shared_ptr<ServedDataset>> {
+    if (!same_content(*ds)) return CollisionError(ds->fingerprint_hex());
+    ++counters_.reuses;
+    return ds;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<ServedDataset> ds = LookupLocked(fingerprint);
+    if (ds != nullptr) return reuse(std::move(ds));
+  }
+  Result<std::shared_ptr<ServedDataset>> built = build();
+  if (!built.ok()) return built.status();
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<ServedDataset> raced = LookupLocked(fingerprint);
+  if (raced != nullptr) return reuse(std::move(raced));
+  ++counters_.loads;
+  InsertLocked(*built);
+  return built;
+}
+
+Result<std::shared_ptr<ServedDataset>> DatasetStore::LoadItems(
+    int64_t n, const std::vector<int64_t>& items) {
+  // The fingerprint depends on the resolved domain, so resolve it the same
+  // way FromItems will before probing the store.
+  const int64_t resolved_n = DatasetDomain(n, items);
+  return LoadOrReuse(
+      FingerprintItems(resolved_n, items),
+      [&](const ServedDataset& ds) { return ds.MatchesItems(resolved_n, items); },
+      [&] { return ServedDataset::FromItems(resolved_n, items, kernel_); });
+}
+
 Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
     const api::DatasetRef& ref, int64_t n, int64_t reservoir) {
   using Kind = api::DatasetRef::Kind;
@@ -198,43 +235,8 @@ Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
       return ds;
     }
 
-    case Kind::kInline: {
-      // The fingerprint depends on the resolved domain, so compute it the
-      // same way FromItems will before probing the store.
-      int64_t max_item = -1;
-      for (int64_t item : ref.items) max_item = std::max(max_item, item);
-      const int64_t resolved_n = n > 0 ? n : max_item + 1;
-      const uint64_t resolved_fp = FingerprintItems(resolved_n, ref.items);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::shared_ptr<ServedDataset> ds = LookupLocked(resolved_fp);
-        if (ds != nullptr) {
-          // FNV-1a is not collision-resistant: reusing a live entry for
-          // new bytes demands actual content equality, or a crafted
-          // collision silently serves another dataset's answers.
-          if (!ds->MatchesItems(resolved_n, ref.items)) {
-            return CollisionError(ds->fingerprint_hex());
-          }
-          ++counters_.reuses;
-          return ds;
-        }
-      }
-      Result<std::shared_ptr<ServedDataset>> built =
-          ServedDataset::FromItems(resolved_n, ref.items, kernel_);
-      if (!built.ok()) return built.status();
-      std::lock_guard<std::mutex> lock(mu_);
-      std::shared_ptr<ServedDataset> raced = LookupLocked((*built)->fingerprint());
-      if (raced != nullptr) {
-        if (!raced->MatchesItems(resolved_n, ref.items)) {
-          return CollisionError(raced->fingerprint_hex());
-        }
-        ++counters_.reuses;
-        return raced;
-      }
-      ++counters_.loads;
-      InsertLocked(*built);
-      return built;
-    }
+    case Kind::kInline:
+      return LoadItems(n, ref.items);
 
     case Kind::kPath: {
       Result<std::string> checked = CheckFsRef(ref.path);
@@ -244,30 +246,12 @@ Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
         return Status::InvalidArgument("cannot open dataset file \"" +
                                        ref.path + "\"");
       }
-      std::vector<int64_t> items;
-      Status scan = ScanDataset(
-          file, [&items, n, reservoir](int64_t item, int64_t line) -> Status {
-            if (item < 0 || (n > 0 && item >= n)) {
-              return Status::ParseError(
-                  "line " + std::to_string(line) + ": item " +
-                  std::to_string(item) + " outside the dataset domain");
-            }
-            if (static_cast<int64_t>(items.size()) >= reservoir) {
-              return Status::InvalidArgument(
-                  "dataset exceeds the reservoir cap of " +
-                  std::to_string(reservoir) +
-                  " items; raise \"reservoir\" or pre-sample the file");
-            }
-            items.push_back(item);
-            return Status::Ok();
-          });
-      if (!scan.ok()) return scan;
+      // The one item-file reader and policy, shared with histk_cli.
+      Result<std::vector<int64_t>> items = ParseDataset(file, n, reservoir);
+      if (!items.ok()) return items.status();
       // Content-addressed from here on — identical file contents resolve
       // to the inline-upload entry and vice versa.
-      api::DatasetRef inline_ref;
-      inline_ref.kind = Kind::kInline;
-      inline_ref.items = std::move(items);
-      return Resolve(inline_ref, n, reservoir);
+      return LoadItems(n, *items);
     }
 
     case Kind::kSketch: {
@@ -285,33 +269,10 @@ Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
       std::ostringstream canonical;
       WriteSnapshot(canonical, *snap);
       const std::string wire = canonical.str();
-      const uint64_t fp = FingerprintSketchBytes(wire);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::shared_ptr<ServedDataset> ds = LookupLocked(fp);
-        if (ds != nullptr) {
-          if (!ds->MatchesSketchWire(wire)) {
-            return CollisionError(ds->fingerprint_hex());
-          }
-          ++counters_.reuses;
-          return ds;
-        }
-      }
-      Result<std::shared_ptr<ServedDataset>> built =
-          ServedDataset::FromSketchWire(wire, kernel_);
-      if (!built.ok()) return built.status();
-      std::lock_guard<std::mutex> lock(mu_);
-      std::shared_ptr<ServedDataset> raced = LookupLocked(fp);
-      if (raced != nullptr) {
-        if (!raced->MatchesSketchWire(wire)) {
-          return CollisionError(raced->fingerprint_hex());
-        }
-        ++counters_.reuses;
-        return raced;
-      }
-      ++counters_.loads;
-      InsertLocked(*built);
-      return built;
+      return LoadOrReuse(
+          FingerprintSketchBytes(wire),
+          [&](const ServedDataset& ds) { return ds.MatchesSketchWire(wire); },
+          [&] { return ServedDataset::FromSketchWire(wire, kernel_); });
     }
   }
   return Status::Internal("unhandled dataset ref kind");

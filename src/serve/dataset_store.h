@@ -15,6 +15,7 @@
 #define HISTK_SERVE_DATASET_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -93,11 +94,10 @@ class ServedDataset {
 
   /// A session with ground truth, for compare tasks: sketch-backed entries
   /// already have one; item-backed entries lazily build the dense
-  /// empirical pmf (guarded by kMaxTruthDomain — compare against a huge
-  /// item domain would allocate n doubles).
+  /// empirical pmf (DatasetSampler::TruthDist, guarded by its
+  /// kMaxTruthDomain — compare against a huge item domain would allocate
+  /// n doubles).
   Result<const Engine*> TruthEngine() const;
-
-  static constexpr int64_t kMaxTruthDomain = int64_t{1} << 22;
 
  private:
   ServedDataset() = default;
@@ -131,7 +131,8 @@ class DatasetStore {
   /// reuses the existing entry when the fingerprint is already live, and
   /// looks up bare fingerprint refs (InvalidArgument when unknown — the
   /// client must resend the dataset). `n` and `reservoir` are the
-  /// request's domain/e cap knobs for fresh loads.
+  /// request's domain and held-item cap; "path" files are read by
+  /// dist/io's ParseDataset under them, like histk_cli's stdin.
   Result<std::shared_ptr<ServedDataset>> Resolve(const api::DatasetRef& ref,
                                                  int64_t n, int64_t reservoir);
 
@@ -145,6 +146,18 @@ class DatasetStore {
 
  private:
   std::shared_ptr<ServedDataset> LookupLocked(uint64_t fingerprint);
+  /// The content-addressed load every fresh ref goes through: reuse the
+  /// live entry under `fingerprint` when `same_content` confirms it (else a
+  /// collision error), otherwise `build` one and insert it, re-checking
+  /// after the build in case another thread loaded the same content.
+  Result<std::shared_ptr<ServedDataset>> LoadOrReuse(
+      uint64_t fingerprint,
+      const std::function<bool(const ServedDataset&)>& same_content,
+      const std::function<Result<std::shared_ptr<ServedDataset>>()>& build);
+  /// Inline items (and parsed "path" files): fingerprint over the resolved
+  /// domain, then LoadOrReuse.
+  Result<std::shared_ptr<ServedDataset>> LoadItems(
+      int64_t n, const std::vector<int64_t>& items);
   void InsertLocked(std::shared_ptr<ServedDataset> dataset);
   /// Applies the FsRefPolicy to a path/sketch ref: the path to open on
   /// success (canonicalized when a root is configured), a typed error

@@ -133,12 +133,8 @@ Status HistkdServer::RunTask(const RequestSpec& req, ResponseEnvelope& env,
         datasets_.Resolve(req.other, req.n, req.reservoir);
     if (!resolved_other.ok()) return resolved_other.status();
     other = *resolved_other;
-    if (other->n() != ds->n()) {
-      return Status::InvalidArgument(
-          "closeness oracles must share a domain: p has n=" +
-          std::to_string(ds->n()) + ", q has n=" + std::to_string(other->n()) +
-          " (load both with an explicit \"n\")");
-    }
+    Status same_domain = api::CheckClosenessDomains(ds->n(), other->n());
+    if (!same_domain.ok()) return same_domain;
   }
 
   Result<TaskSpec> spec = api::BuildTaskSpec(req);

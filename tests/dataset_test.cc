@@ -45,6 +45,24 @@ TEST(DatasetTest, LearnerRunsOnDatasetOracle) {
   EXPECT_LT(res.tiling.L2SquaredErrorTo(dataset.EmpiricalDist()), 0.01);
 }
 
+TEST(DatasetTest, DomainIsDeclaredOrMaxItemPlusOne) {
+  EXPECT_EQ(DatasetDomain(16, {0, 3, 7}), 16);
+  EXPECT_EQ(DatasetDomain(0, {0, 3, 7}), 8);
+  EXPECT_EQ(DatasetDomain(-1, {2}), 3);
+}
+
+TEST(DatasetTest, TruthDistIsCappedAtMaxTruthDomain) {
+  const DatasetSampler small(8, {0, 0, 0, 5});
+  const Result<Distribution> truth = small.TruthDist();
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  EXPECT_DOUBLE_EQ(truth->p(0), 0.75);
+
+  const DatasetSampler huge(DatasetSampler::kMaxTruthDomain + 1, {0, 1});
+  const Result<Distribution> refused = huge.TruthDist();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DatasetDeathTest, RejectsEmptyAndOutOfDomain) {
   EXPECT_DEATH(DatasetSampler(4, {}), "non-empty");
   EXPECT_DEATH(DatasetSampler(4, {0, 4}), "out of domain");

@@ -7,9 +7,7 @@
 //      produce a SampleSet identical to materialize-then-count
 //      (FromDraws ∘ DrawMany/DrawManySharded), at every num_threads in
 //      {1, 2, 8}, and leave the rng in the same state.
-//   3. The packed kernel (opt-in, reordered stream) is deterministic,
-//      thread-count invariant, statistically faithful, and never emits
-//      zero-mass elements — but is NOT byte-compatible with replay.
+//   3. The simd kernel's fused paths agree with materialize-then-count.
 //   4. The FromDraws move-in overload and the FromRuns pre-counted
 //      constructor agree with the historical constructors.
 #include <cstdint>
@@ -176,82 +174,6 @@ TEST(DrawPipelineTest, GroupDrawShardedThreadInvariant) {
   ASSERT_EQ(g1.r(), g8.r());
   for (int64_t i = 0; i < g1.r(); ++i) ExpectSameSampleSet(g1.set(i), g8.set(i));
   EXPECT_EQ(RngFingerprint(r1), RngFingerprint(r8));
-}
-
-// ---------------------------------------------------------------- packed
-
-TEST(DrawPipelineTest, PackedKernelDeterministicAndThreadInvariant) {
-  for (const Distribution& d : {DenseSkewed(), BucketHuge()}) {
-    const AliasSampler s(d, AliasKernel::kPacked);
-    Rng a(5), b(5);
-    EXPECT_EQ(s.DrawMany(20000, a), s.DrawMany(20000, b));
-    Rng r1(6), r8(6);
-    EXPECT_EQ(s.DrawManySharded(100000, r1, 1), s.DrawManySharded(100000, r8, 8));
-  }
-}
-
-TEST(DrawPipelineTest, PackedKernelScalarDrawMatchesBatch) {
-  const AliasSampler s(BucketSmall(), AliasKernel::kPacked);
-  Rng scalar_rng(15), batch_rng(15);
-  std::vector<int64_t> scalar(3000);
-  for (auto& v : scalar) v = s.Draw(scalar_rng);
-  EXPECT_EQ(scalar, s.DrawMany(3000, batch_rng));
-}
-
-TEST(DrawPipelineTest, PackedKernelMatchesPmfChiSquare) {
-  const Distribution d = Distribution::FromWeights({1, 2, 3, 4, 5, 5, 4, 3, 2, 1});
-  const AliasSampler s(d, AliasKernel::kPacked);
-  Rng rng(31);
-  const auto draws = s.DrawMany(200000, rng);
-  std::vector<int64_t> counts(10, 0);
-  for (int64_t v : draws) ++counts[static_cast<size_t>(v)];
-  double chi2 = 0.0;
-  for (int64_t i = 0; i < 10; ++i) {
-    const double expect = d.p(i) * 200000.0;
-    const double delta = static_cast<double>(counts[static_cast<size_t>(i)]) - expect;
-    chi2 += delta * delta / expect;
-  }
-  // 9 dof; 99.9% quantile ~ 27.9.
-  EXPECT_LT(chi2, 30.0);
-}
-
-TEST(DrawPipelineTest, PackedKernelNeverDrawsZeroMass) {
-  const AliasSampler dense(DenseWithHoles(), AliasKernel::kPacked);
-  Rng rng(33);
-  for (int64_t v : dense.DrawMany(20000, rng)) {
-    EXPECT_TRUE(v == 1 || v == 4 || v == 5 || v == 7 || v == 11) << v;
-  }
-  // BucketSmall's third run ([100,100], weight 0) must never appear; note
-  // it is also a singleton run, exercising the unconditional offset draw.
-  const AliasSampler bucket(BucketSmall(), AliasKernel::kPacked);
-  Rng rng2(34);
-  for (int64_t v : bucket.DrawMany(50000, rng2)) {
-    EXPECT_NE(v, 100);
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 1000);
-  }
-}
-
-TEST(DrawPipelineTest, PackedBucketWeightsMatchRunMasses) {
-  const Distribution d = BucketHuge();
-  const AliasSampler s(d, AliasKernel::kPacked);
-  Rng rng(35);
-  const int64_t m = 400000;
-  const auto draws = s.DrawMany(m, rng);
-  // Per-run empirical mass within 1% absolute of the true run weights.
-  const std::vector<int64_t>& ends = d.bucket_right_ends();
-  std::vector<int64_t> counts(ends.size(), 0);
-  for (int64_t v : draws) {
-    size_t j = 0;
-    while (ends[j] < v) ++j;
-    ++counts[j];
-  }
-  int64_t lo = 0;
-  for (size_t j = 0; j < ends.size(); ++j) {
-    const double mass = d.Weight(Interval(lo, ends[j]));
-    EXPECT_NEAR(static_cast<double>(counts[j]) / static_cast<double>(m), mass, 0.01);
-    lo = ends[j] + 1;
-  }
 }
 
 // ----------------------------------------------------------------- simd

@@ -185,7 +185,7 @@ TEST(IoParseTest, BucketDistributionDiagnosesBadMass) {
 
 TEST(IoParseTest, DatasetNamesTheLineOfABadItem) {
   std::stringstream ss("0\n1\n2\nxyz\n3\n");
-  const Result<std::vector<int64_t>> parsed = ParseDataset(ss);
+  const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/0, /*max_items=*/100);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
   EXPECT_TRUE(MessageContains(parsed.status(), "line 4"))
@@ -194,15 +194,54 @@ TEST(IoParseTest, DatasetNamesTheLineOfABadItem) {
 
 TEST(IoParseTest, DatasetRejectsOutOfDomainWithLine) {
   std::stringstream ss("0\n1\n9\n");
-  const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/5);
+  const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/5, /*max_items=*/100);
   ASSERT_FALSE(parsed.ok());
   EXPECT_TRUE(MessageContains(parsed.status(), "line 3"))
       << parsed.status().ToString();
 
   std::stringstream ok_ss("0\n1\n4\n");
-  const Result<std::vector<int64_t>> parsed_ok = ParseDataset(ok_ss, /*n=*/5);
+  const Result<std::vector<int64_t>> parsed_ok = ParseDataset(ok_ss, /*n=*/5, /*max_items=*/100);
   ASSERT_TRUE(parsed_ok.ok());
   EXPECT_EQ(parsed_ok->size(), 3u);
+}
+
+TEST(IoParseTest, DatasetRejectsNegativeItemsWithLine) {
+  std::stringstream ss("0\n1\n-5\n");
+  const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/0, 100);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_TRUE(MessageContains(parsed.status(), "line 3"))
+      << parsed.status().ToString();
+}
+
+TEST(IoParseTest, DatasetPastTheCapIsRefusedNotSubsampled) {
+  std::stringstream ss("0\n1\n2\n3\n");
+  const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/0, 3);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MessageContains(parsed.status(), "cap of 3"))
+      << parsed.status().ToString();
+  EXPECT_TRUE(MessageContains(parsed.status(), "--reservoir"))
+      << parsed.status().ToString();
+
+  std::stringstream at_cap("0\n1\n2\n");
+  const Result<std::vector<int64_t>> parsed_ok = ParseDataset(at_cap, /*n=*/0, 3);
+  ASSERT_TRUE(parsed_ok.ok()) << parsed_ok.status().ToString();
+  EXPECT_EQ(*parsed_ok, (std::vector<int64_t>{0, 1, 2}));
+}
+
+TEST(IoParseTest, DatasetRejectsEmptyInputAndNonPositiveCap) {
+  std::stringstream empty("  \n\n");
+  const Result<std::vector<int64_t>> none = ParseDataset(empty, /*n=*/0, 100);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+
+  for (const int64_t cap : {int64_t{0}, int64_t{-1}}) {
+    std::stringstream ss("0\n");
+    const Result<std::vector<int64_t>> parsed = ParseDataset(ss, /*n=*/0, cap);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@ namespace {
 
 using api::BuildTaskSpec;
 using api::CanonicalSynopsisKey;
+using api::CheckClosenessDomains;
 using api::JsonValue;
 using api::ParseJson;
 using api::ParseRequestJson;
@@ -266,6 +267,15 @@ TEST(CacheKeyTest, EmptyForNonSynopsisKinds) {
                            RequestKind::kStats, RequestKind::kShutdown}) {
     EXPECT_TRUE(CanonicalSynopsisKey(BaseRequest(kind), "f").empty());
   }
+}
+
+TEST(ClosenessDomainTest, UnequalDomainsAreRejectedNamingBoth) {
+  EXPECT_TRUE(CheckClosenessDomains(256, 256).ok());
+  const Status s = CheckClosenessDomains(256, 100);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("n=256"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("n=100"), std::string::npos) << s.ToString();
 }
 
 // ------------------------------------------------------------- parity

@@ -316,7 +316,6 @@ TEST(SimdKernelTest, BackendNamesAreStable) {
   EXPECT_STREQ(simd::SimdBackendName(simd::SimdBackend::kScalar), "scalar");
   EXPECT_STREQ(simd::SimdBackendName(simd::SimdBackend::kAvx2), "avx2");
   EXPECT_STREQ(AliasKernelName(AliasKernel::kReplay), "replay");
-  EXPECT_STREQ(AliasKernelName(AliasKernel::kPacked), "packed");
   EXPECT_STREQ(AliasKernelName(AliasKernel::kSimd), "simd");
 }
 

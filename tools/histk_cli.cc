@@ -19,13 +19,13 @@
 //                     [--n N] [--scale S] [--seed X] [--reservoir R]
 //                     [--budget B] [--json] < items.txt
 //   histk_cli compare --k 8 --eps 0.1 [--n N] [--scale S] [--seed X]
-//                     [--budget B] [--json] < items.txt
+//                     [--reservoir R] [--budget B] [--json] < items.txt
 //   histk_cli property-test --k 8 --eps 0.3 [--norm l1|l2] [--n N] [--scale S]
 //                     [--seed X] [--reservoir R] [--budget B] [--json] < items.txt
 //   histk_cli closeness --k 8 [--k2 K] --eps 0.3 --other OTHER.txt [--n N]
 //                     [--scale S] [--seed X] [--reservoir R] [--budget B]
 //                     [--json] < items.txt
-//   histk_cli voptimal --k 8 [--n N] < items.txt > histogram.txt
+//   histk_cli voptimal --k 8 [--n N] [--reservoir R] < items.txt > histogram.txt
 //   histk_cli ingest  [--mantissa-bits B] [--threads W] [--cdf-at V]
 //                     [--sketch-out FILE] [--json] < values.txt
 //
@@ -51,7 +51,8 @@
 // (0 accept / 1 reject) and --json.
 //
 // Every engine-backed subcommand builds its TaskSpec through the unified
-// request API (src/api/request.h): flags fill an api::RequestSpec and
+// request API (src/api/request.h): flags write straight into the
+// api::RequestSpec held in Args (its defaults are the flag defaults) and
 // api::BuildTaskSpec performs the one flags→spec translation — the same
 // path histkd serves over NDJSON, so the CLI and the daemon cannot drift
 // on what a knob means. estimate is the query twin of the daemon's
@@ -61,10 +62,12 @@
 // learn/test/compare are thin clients of histk::Engine: the session wraps
 // the data-set oracle in a BudgetedSampler (--budget B caps oracle draws;
 // absent = unlimited) and --json replaces the text output with the Engine's
-// machine-readable Report (schema checked by tools/check_report_json.py).
-// `compare` learns a k-histogram and scores it against equi-width /
-// equi-depth / compressed baselines built from the same sample budget, plus
-// the exact v-optimal DP on the empirical pmf when the domain is small.
+// machine-readable Report (schema checked by tools/check_report_json.py),
+// equal to histkd's report for the same "path" ref (tools/
+// cli_daemon_parity.py pins this). `compare` learns a k-histogram and
+// scores it against equi-width / equi-depth / compressed baselines built
+// from the same sample budget, plus the exact v-optimal DP, all against the
+// empirical pmf of D — the oracle and truth pair histkd uses.
 //
 // Exit codes (distinct per outcome so scripts can branch):
 //   0  success (test: ACCEPT)
@@ -89,26 +92,28 @@
 //   --draw-threads T  sharded session draw workers (reports are identical
 //                     for any T; the chaos CI job sweeps this)
 //
-// Ingestion is streaming: stdin is consumed line by line in fixed-size
-// chunks that feed either a bounded uniform reservoir (learn/test;
-// --reservoir caps the held items, 0 = keep everything) or a count table
-// (compare/voptimal), so the full data set is never buffered in memory.
-// Malformed tokens are a parse error (exit 3) with the offending line
-// number; negative items are warned about and ignored; items outside an
-// explicit --n domain are skipped.
+// Ingestion: stdin (and closeness's --other file) is read whole by dist/io's
+// ParseDataset, the same reader and policy histkd applies to "path" refs,
+// so the two frontends hold exactly the data set D or refuse it alike. A
+// malformed token, a negative item, or an item outside an explicit --n
+// domain is a parse error naming the line (exit 3); more items than
+// --reservoir R (the held-item cap, default 2^20; must be > 0) or an empty
+// stream is an invalid argument (exit 2). Nothing is dropped or subsampled.
+// Without --n the domain is max item + 1, and closeness then needs both
+// files to infer the same domain. compare and voptimal materialize the
+// dense empirical pmf, capped at DatasetSampler::kMaxTruthDomain (2^22).
 //
 // The piecewise families (khist/staircase/spikes/uniform) build the O(k)
 // bucket Distribution backend above Distribution::kAutoBucketThreshold, so
 // `gen --n $((1<<30))` is cheap; sample emission uses the sharded DrawMany
 // path, whose output depends on --seed but not on --threads.
 //
-// --kernel replay|packed|simd selects the oracle's draw kernel everywhere a
-// sampler is built: gen/compare (AliasSampler over the pmf) and
-// learn/test/property-test/closeness (DatasetSampler over the held items).
-// replay (default) preserves the historical byte streams; packed and simd
-// are the faster reordered kernels (simd additionally runtime-dispatches to
-// AVX2 when available, with a byte-identical scalar fallback). Unknown
-// values exit 2 per the strict-parse convention.
+// --kernel replay|simd selects the oracle's draw kernel everywhere a sampler
+// is built: gen (AliasSampler over the pmf), every engine subcommand
+// (DatasetSampler over the held items) and --from-sketch. replay (default)
+// preserves the historical byte streams; simd is the faster reordered
+// kernel (runtime-dispatched to AVX2 when available, with a byte-identical
+// scalar fallback). Unknown values exit 2 per the strict-parse convention.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -118,7 +123,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -136,19 +140,11 @@ using namespace histk;
 
 struct Args {
   std::string command;
-  int64_t k = 8;
-  int64_t k2 = 0;  // closeness: second oracle's piece budget (0 = --k)
-  double eps = 0.1;
-  int64_t n = 0;  // 0 = infer max+1 (gen: defaults to 256)
-  double scale = 1.0;
-  Norm norm = Norm::kL2;
-  bool norm_set = false;  // property-test defaults to l1 unless --norm given
-  std::string other;      // closeness: path of the second data set
-  bool full_enum = false;
-  bool reduce = false;
-  uint64_t seed = 1;
-  int64_t reservoir = int64_t{1} << 20;  // learn/test held-item cap; 0 = unbounded
-  int64_t budget = BudgetedSampler::kUnlimited;  // oracle-draw cap; < 0 = unlimited
+  // Every engine knob (k, k2, eps, n, norm, scale, seed, budget, reservoir,
+  // quantiles, ranges, ...), with the request API's defaults. gen reads
+  // k, eps, n and seed from here too.
+  api::RequestSpec req;
+  std::string other;  // closeness: path of the second data set
   bool json = false;
   AliasKernel kernel = AliasKernel::kReplay;  // oracle draw kernel
   // gen-only:
@@ -163,15 +159,9 @@ struct Args {
   std::vector<uint64_t> cdf_at;  // ingest: report cdf(V) for each --cdf-at V
   std::string sketch_out;        // ingest: write the wire-format snapshot here
   std::string from_sketch;       // learn/test: bridge this sketch, skip stdin
-  // resilient sessions (engine-backed subcommands):
-  int64_t deadline_ms = 0;    // 0 = no deadline
-  int max_retries = 0;        // transient-fault retry budget
-  bool inject_faults = false; // wrap the oracle in the fault injector
-  uint64_t fault_seed = 0;    // --inject-faults SEED (schedule derivation)
-  int draw_threads = 0;       // sharded session workers; 0 = sequential
-  // estimate-only:
-  std::vector<double> quantiles;  // --quantile Q (repeatable)
-  std::vector<Interval> ranges;   // --range LO:HI (repeatable, inclusive)
+  // --inject-faults SEED: wrap the oracle in the seeded fault injector.
+  bool inject_faults = false;
+  uint64_t fault_seed = 0;
 };
 
 // Exit codes, one per outcome class (see file comment).
@@ -201,7 +191,8 @@ void Usage() {
       "       histk_cli closeness --k K [--k2 K] --eps E --other OTHER.txt [--n N]\n"
       "                 [--scale S] [--seed X] [--reservoir R] [--budget B] [--json]\n"
       "       histk_cli compare --k K --eps E [--n N] [--scale S] [--seed X]\n"
-      "                 [--budget B] [--json]\n"
+      "                 [--reservoir R] [--budget B] [--json]\n"
+      "       histk_cli voptimal --k K [--n N] [--reservoir R]\n"
       "       histk_cli gen --family khist|staircase|zipf|gauss|spikes|\n"
       "                 zigzag|uniform [--n N] [--k K] [--samples M]\n"
       "                 [--seed X] [--skew S] [--eps E] [--contrast C]\n"
@@ -211,8 +202,11 @@ void Usage() {
       "                 (quantile summary in text mode; --json prints the\n"
       "                 snapshot object; learn/test --from-sketch consume\n"
       "                 the --sketch-out file)\n"
-      "       all sampling commands also take --kernel replay|packed|simd\n"
+      "       all sampling commands also take --kernel replay|simd\n"
       "                 (oracle draw kernel; default replay)\n"
+      "       stdin and --other are read whole: a negative item or one >= --n\n"
+      "                 is a parse error (exit 3); more than --reservoir R\n"
+      "                 items (the held-item cap, default 2^20) exit 2\n"
       "       engine subcommands also take --deadline-ms D --max-retries R\n"
       "                 --inject-faults SEED --draw-threads T (resilient\n"
       "                 sessions; see the file comment)\n"
@@ -258,6 +252,11 @@ bool ToRange(const char* s, Interval& out) {
 bool Parse(int argc, char** argv, Args& args) {
   if (argc < 2) return false;
   args.command = argv[1];
+  // Engine subcommands are named after their request kinds.
+  if (const Result<api::RequestKind> kind = api::ParseRequestKind(args.command);
+      kind.ok()) {
+    args.req.kind = *kind;
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
@@ -270,39 +269,39 @@ bool Parse(int argc, char** argv, Args& args) {
     };
     if (flag == "--k") {
       const char* v = next();
-      if (!v || !ToI64(v, args.k)) return bad();
+      if (!v || !ToI64(v, args.req.k)) return bad();
     } else if (flag == "--k2") {
       const char* v = next();
-      if (!v || !ToI64(v, args.k2)) return bad();
+      if (!v || !ToI64(v, args.req.k2)) return bad();
     } else if (flag == "--other") {
       const char* v = next();
       if (!v) return bad();
       args.other = v;
     } else if (flag == "--eps") {
       const char* v = next();
-      if (!v || !ToF64(v, args.eps)) return bad();
+      if (!v || !ToF64(v, args.req.eps)) return bad();
     } else if (flag == "--n") {
       const char* v = next();
-      if (!v || !ToI64(v, args.n)) return bad();
+      if (!v || !ToI64(v, args.req.n)) return bad();
     } else if (flag == "--scale") {
       const char* v = next();
-      if (!v || !ToF64(v, args.scale)) return bad();
+      if (!v || !ToF64(v, args.req.scale)) return bad();
     } else if (flag == "--seed") {
       const char* v = next();
-      if (!v || !ToU64(v, args.seed)) return bad();
+      if (!v || !ToU64(v, args.req.seed)) return bad();
     } else if (flag == "--norm") {
       const char* v = next();
       if (!v) return bad();
       // Strict: a typo ("l3") must not silently run the other tester — the
       // L1-far/L2-close regime makes that a wrong ACCEPT, not a nuisance.
       if (std::strcmp(v, "l1") == 0) {
-        args.norm = Norm::kL1;
+        args.req.norm = Norm::kL1;
       } else if (std::strcmp(v, "l2") == 0) {
-        args.norm = Norm::kL2;
+        args.req.norm = Norm::kL2;
       } else {
         return bad();
       }
-      args.norm_set = true;
+      args.req.norm_set = true;
     } else if (flag == "--kernel") {
       const char* v = next();
       if (!v) return bad();
@@ -310,22 +309,20 @@ bool Parse(int argc, char** argv, Args& args) {
       // with a different rng stream — seeded runs would replay differently.
       if (std::strcmp(v, "replay") == 0) {
         args.kernel = AliasKernel::kReplay;
-      } else if (std::strcmp(v, "packed") == 0) {
-        args.kernel = AliasKernel::kPacked;
       } else if (std::strcmp(v, "simd") == 0) {
         args.kernel = AliasKernel::kSimd;
       } else {
         return bad();
       }
     } else if (flag == "--full-enum") {
-      args.full_enum = true;
+      args.req.full_enum = true;
     } else if (flag == "--reduce") {
-      args.reduce = true;
+      args.req.reduce = true;
     } else if (flag == "--json") {
       args.json = true;
     } else if (flag == "--budget") {
       const char* v = next();
-      if (!v || !ToI64(v, args.budget)) return bad();
+      if (!v || !ToI64(v, args.req.budget)) return bad();
     } else if (flag == "--family") {
       const char* v = next();
       if (!v) return bad();
@@ -341,7 +338,7 @@ bool Parse(int argc, char** argv, Args& args) {
       if (!v || !ToF64(v, args.contrast)) return bad();
     } else if (flag == "--reservoir") {
       const char* v = next();
-      if (!v || !ToI64(v, args.reservoir)) return bad();
+      if (!v || !ToI64(v, args.req.reservoir)) return bad();
     } else if (flag == "--threads") {
       const char* v = next();
       if (!v || !ToInt(v, args.threads)) return bad();
@@ -367,27 +364,27 @@ bool Parse(int argc, char** argv, Args& args) {
       args.from_sketch = v;
     } else if (flag == "--deadline-ms") {
       const char* v = next();
-      if (!v || !ToI64(v, args.deadline_ms) || args.deadline_ms < 1) return bad();
+      if (!v || !ToI64(v, args.req.deadline_ms) || args.req.deadline_ms < 1) return bad();
     } else if (flag == "--max-retries") {
       const char* v = next();
-      if (!v || !ToInt(v, args.max_retries) || args.max_retries < 0) return bad();
+      if (!v || !ToInt(v, args.req.max_retries) || args.req.max_retries < 0) return bad();
     } else if (flag == "--inject-faults") {
       const char* v = next();
       if (!v || !ToU64(v, args.fault_seed)) return bad();
       args.inject_faults = true;
     } else if (flag == "--draw-threads") {
       const char* v = next();
-      if (!v || !ToInt(v, args.draw_threads) || args.draw_threads < 0) return bad();
+      if (!v || !ToInt(v, args.req.draw_threads) || args.req.draw_threads < 0) return bad();
     } else if (flag == "--quantile") {
       const char* v = next();
       double q = 0.0;
       if (!v || !ToF64(v, q)) return bad();
-      args.quantiles.push_back(q);
+      args.req.quantiles.push_back(q);
     } else if (flag == "--range") {
       const char* v = next();
       Interval range;
       if (!v || !ToRange(v, range)) return bad();
-      args.ranges.push_back(range);
+      args.req.ranges.push_back(range);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -400,163 +397,149 @@ bool Parse(int argc, char** argv, Args& args) {
          args.command == "ingest";
 }
 
-// Streaming ingestion: stdin is consumed line by line and fed to the
-// consumer in fixed-size chunks, so memory is bounded by the chunk plus
-// whatever the consumer retains (a capped reservoir for learn/test,
-// per-element counts for compare/voptimal) — never the whole stream.
-constexpr int64_t kIngestChunk = int64_t{1} << 16;
-
-struct Ingested {
-  int64_t n = 0;            ///< resolved domain size
-  int64_t stream_items = 0; ///< valid items seen on the stream
-  std::vector<int64_t> items;   ///< reservoir sample (kReservoir mode)
-  std::vector<int64_t> counts;  ///< per-element occurrences (kCounts mode)
-};
-
-enum class IngestMode { kReservoir, kCounts };
-
-// kCounts ingestion (compare/voptimal) materializes a dense per-element
-// table, so the domain must stay RAM-sized — one stray huge item must not
-// become a multi-GB resize. learn/test (bounded reservoir) have no cap.
-constexpr int64_t kMaxCountsDomain = int64_t{1} << 24;
-
-Result<Ingested> IngestStream(std::istream& is, int64_t explicit_n, IngestMode mode,
-                              int64_t reservoir_cap, uint64_t seed) {
-  Ingested out;
-  // The reservoir gets its own stream, derived from --seed, so the
-  // algorithms' Rng(seed) consumption is untouched by ingestion. Only the
-  // capped-reservoir mode actually needs one.
-  uint64_t state = seed ^ 0xC0FFEE5EEDF00DULL;
-  const bool unbounded = reservoir_cap <= 0;
-  std::optional<Reservoir> reservoir;
-  if (mode == IngestMode::kReservoir && !unbounded) {
-    reservoir.emplace(reservoir_cap, SplitMix64(state));
+// A typed failure: the message (prefixed with its source when given) on
+// stderr; exit 3 for malformed input, 2 for everything else.
+int Fail(const Status& status, const std::string& source = "") {
+  if (source.empty()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  } else {
+    std::fprintf(stderr, "%s: %s\n", source.c_str(), status.ToString().c_str());
   }
-
-  std::vector<int64_t> chunk;
-  chunk.reserve(static_cast<size_t>(kIngestChunk));
-  int64_t max_seen = -1;
-
-  auto consume = [&](const std::vector<int64_t>& batch) {
-    for (int64_t item : batch) {
-      ++out.stream_items;
-      if (mode == IngestMode::kCounts) {
-        if (item >= static_cast<int64_t>(out.counts.size())) {
-          out.counts.resize(static_cast<size_t>(item) + 1, 0);
-        }
-        ++out.counts[static_cast<size_t>(item)];
-      } else if (unbounded) {
-        out.items.push_back(item);
-      } else {
-        reservoir->Add(item);
-      }
-    }
-  };
-
-  // One dataset grammar: the same ScanDataset that backs ParseDataset, so
-  // the CLI and the library can never disagree on what parses. Filtering
-  // (warn-and-drop negatives, skip out-of-domain) is CLI policy, applied in
-  // the callback.
-  const Status scan = ScanDataset(is, [&](int64_t v, int64_t line) -> Status {
-    if (v < 0) {
-      std::fprintf(stderr, "negative item %lld ignored\n", static_cast<long long>(v));
-      return Status::Ok();
-    }
-    if (explicit_n > 0 && v >= explicit_n) return Status::Ok();  // outside domain
-    if (mode == IngestMode::kCounts && v >= kMaxCountsDomain) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line) + ": item " + std::to_string(v) +
-          " exceeds the dense-counts cap (2^24) for compare/voptimal — pass "
-          "--n to bound the domain, or use learn/test");
-    }
-    max_seen = std::max<int64_t>(max_seen, v);
-    chunk.push_back(v);
-    if (static_cast<int64_t>(chunk.size()) == kIngestChunk) {
-      consume(chunk);
-      chunk.clear();
-    }
-    return Status::Ok();
-  });
-  if (!scan.ok()) return scan;
-  consume(chunk);
-
-  out.n = explicit_n > 0 ? explicit_n : max_seen + 1;
-  if (mode == IngestMode::kReservoir && !unbounded) {
-    out.items = reservoir->sample();
-  }
-  if (mode == IngestMode::kCounts && out.n > 0) {
-    out.counts.resize(static_cast<size_t>(out.n), 0);
-  }
-  return out;
-}
-
-// Flags → RequestSpec: the CLI is now a client of the unified request API
-// (api/request.h) — the same RequestSpec histkd parses off the wire, and
-// the same BuildTaskSpec translation into engine specs. The daemon and the
-// CLI can no longer drift apart on what a knob means.
-api::RequestSpec RequestFromArgs(const Args& args) {
-  api::RequestSpec req;
-  if (args.command == "learn") req.kind = api::RequestKind::kLearn;
-  if (args.command == "test") req.kind = api::RequestKind::kTest;
-  if (args.command == "compare") req.kind = api::RequestKind::kCompare;
-  if (args.command == "estimate") req.kind = api::RequestKind::kEstimate;
-  if (args.command == "property-test") req.kind = api::RequestKind::kPropertyTest;
-  if (args.command == "closeness") req.kind = api::RequestKind::kCloseness;
-  req.k = args.k;
-  req.k2 = args.k2;
-  req.eps = args.eps;
-  req.norm = args.norm;
-  req.norm_set = args.norm_set;
-  req.scale = args.scale;
-  req.full_enum = args.full_enum;
-  req.reduce = args.reduce;
-  req.seed = args.seed;
-  req.budget = args.budget;
-  req.deadline_ms = args.deadline_ms;
-  req.max_retries = args.max_retries;
-  req.draw_threads = args.draw_threads;
-  req.quantiles = args.quantiles;
-  req.ranges = args.ranges;
-  req.n = args.n;
-  req.reservoir = args.reservoir;
-  return req;
-}
-
-// The one flags→TaskSpec path. A rejected combination (--reduce off learn,
-// --quantile off estimate, ...) is a usage error with the API's message.
-Result<TaskSpec> SpecFromArgs(const Args& args) {
-  return api::BuildTaskSpec(RequestFromArgs(args));
+  return status.code() == StatusCode::kParseError ? kExitParse : kExitUsage;
 }
 
 // --inject-faults: interpose the seeded fault injector between the Engine's
 // meter and the real oracle. `storage` keeps the decorator alive alongside
 // the returned reference (the Engine holds references, not copies).
-const Sampler& MaybeInjectFaults(const Args& args, const Sampler& inner,
+const Sampler& MaybeInjectFaults(const Args& args, uint64_t fault_seed,
+                                 const Sampler& inner,
                                  std::optional<FaultInjectingSampler>& storage) {
   if (!args.inject_faults) return inner;
-  storage.emplace(inner, FaultSchedule::FromSeed(args.fault_seed));
+  storage.emplace(inner, FaultSchedule::FromSeed(fault_seed));
   return *storage;
 }
 
-/// The one Engine-backed task path every subcommand shares: flags →
+// Per-kind text renderers of a conclusive report. `note` is the stderr
+// provenance line ("stream: ..." / "streams: ..." / "sketch: ...").
+void PrintLearn(const Args& args, const Report& report, const std::string& note) {
+  const TilingHistogram& out = args.req.reduce ? *report.reduced : report.learn->tiling;
+  WriteTilingHistogram(std::cout, out);
+  std::fprintf(stderr, "%s\n", note.c_str());
+  std::fprintf(stderr, "drew %lld samples (l=%lld, r=%lld x m=%lld), %lld pieces\n",
+               static_cast<long long>(report.learn->total_samples),
+               static_cast<long long>(report.learn->params.l),
+               static_cast<long long>(report.learn->params.r),
+               static_cast<long long>(report.learn->params.m),
+               static_cast<long long>(out.k()));
+}
+
+void PrintTest(const Args& args, const Report& report, const std::string& note) {
+  std::fprintf(stderr, "%s\n", note.c_str());
+  const TestOutcome& out = *report.test;
+  std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
+  std::printf("samples: %lld (r=%lld x m=%lld), norm: %s\n",
+              static_cast<long long>(out.total_samples),
+              static_cast<long long>(out.params.r),
+              static_cast<long long>(out.params.m), NormName(args.req.norm));
+  std::printf("flat partition found:");
+  for (const Interval& piece : out.flat_partition) {
+    std::printf(" %s", piece.ToString().c_str());
+  }
+  std::printf("\n");
+}
+
+void PrintPropertyTest(const Report& report, const std::string& note) {
+  const PropertyTestOutcome& out = *report.property_test;
+  std::fprintf(stderr, "%s\n", note.c_str());
+  std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
+  std::printf(
+      "samples: %lld (learn %lld + verify %lld x %lld), parts: %lld, "
+      "fit: %.3g vs %.3g, collisions: %.3g vs %.3g, "
+      "exceptions: %lld (mass %.3f vs %.3f)\n",
+      static_cast<long long>(out.total_samples),
+      static_cast<long long>(out.params.learn.TotalSamples()),
+      static_cast<long long>(out.params.verify_r),
+      static_cast<long long>(out.params.verify_m),
+      static_cast<long long>(out.refinement_parts), out.fit_stat, out.fit_threshold,
+      out.collision_stat, out.collision_threshold,
+      static_cast<long long>(out.exception_parts), out.exception_mass,
+      out.exception_mass_threshold);
+}
+
+void PrintCloseness(const Report& report, const std::string& note) {
+  const ClosenessOutcome& out = *report.closeness;
+  std::fprintf(stderr, "%s\n", note.c_str());
+  std::printf("%s\n", out.accepted ? "CLOSE" : "FAR");
+  std::printf("samples: %lld, refinement: %lld parts, statistic: %.4g vs %.4g\n",
+              static_cast<long long>(out.total_samples),
+              static_cast<long long>(out.refinement_parts), out.statistic,
+              out.threshold);
+}
+
+void PrintCompare(const Report& report, const std::string& note) {
+  std::fprintf(stderr, "%s\n", note.c_str());
+  Table table({"method", "pieces", "SSE vs empirical", "samples"});
+  for (const CompareRow& row : report.compare) {
+    table.AddRow({row.method, std::to_string(row.pieces), FmtE(row.sse),
+                  FmtI(row.samples)});
+  }
+  table.Print(std::cout);
+}
+
+// estimate: the CLI twin of the daemon's most cache-friendly request
+// (histkd serves repeats of it from its synopsis cache with zero draws).
+void PrintEstimate(const Report& report, const std::string& note) {
+  std::fprintf(stderr, "%s\n", note.c_str());
+  const EstimateAnswers& answers = *report.estimate;
+  for (const auto& q : answers.quantiles) {
+    std::printf("quantile %.6g -> %lld\n", q.q, static_cast<long long>(q.value));
+  }
+  for (const auto& sel : answers.selectivity) {
+    std::printf("range %s -> %.6g\n", sel.range.ToString().c_str(), sel.estimate);
+  }
+  std::fprintf(stderr, "synopsis: %lld pieces from %lld samples\n",
+               static_cast<long long>(report.reduced->k()),
+               static_cast<long long>(report.learn->total_samples));
+}
+
+void PrintText(const Args& args, const Report& report, const std::string& note) {
+  switch (args.req.kind) {
+    case api::RequestKind::kLearn:
+      return PrintLearn(args, report, note);
+    case api::RequestKind::kTest:
+      return PrintTest(args, report, note);
+    case api::RequestKind::kPropertyTest:
+      return PrintPropertyTest(report, note);
+    case api::RequestKind::kCloseness:
+      return PrintCloseness(report, note);
+    case api::RequestKind::kCompare:
+      return PrintCompare(report, note);
+    case api::RequestKind::kEstimate:
+      return PrintEstimate(report, note);
+    case api::RequestKind::kStats:
+    case api::RequestKind::kShutdown:
+      return;  // not CLI subcommands
+  }
+}
+
+/// The one Engine-backed task path every subcommand shares: RequestSpec →
 /// TaskSpec → Engine::Run → output. --json prints the Report (also for
 /// exhausted and interrupted sessions: it documents the partial telemetry
-/// plus the status/degraded/retries triple); otherwise `print_text`
-/// renders a conclusive report. Invalid specs exit 2, rejected admission
-/// exits 5, exhausted budgets exit 4, interrupted sessions (deadline/
-/// cancel/unavailable) exit 5, and conclusive reports exit with their
-/// verdict (REJECT/FAR = 1). `other` is closeness's second oracle.
-int RunTask(const Args& args, const Engine& engine,
-            const std::function<void(const Report&)>& print_text,
+/// plus the status/degraded/retries triple); otherwise PrintText renders a
+/// conclusive report. Invalid specs exit 2, rejected admission exits 5,
+/// exhausted budgets exit 4, interrupted sessions (deadline/cancel/
+/// unavailable) exit 5, and conclusive reports exit with their verdict
+/// (REJECT/FAR = 1). `other` is closeness's second oracle.
+int RunTask(const Args& args, const Engine& engine, const std::string& note,
             const Sampler* other = nullptr) {
-  Result<TaskSpec> spec = SpecFromArgs(args);
+  Result<TaskSpec> spec = api::BuildTaskSpec(args.req);
   if (!spec.ok()) {
     std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return kExitUsage;
   }
   // The API hands ClosenessSpec back with other == nullptr: the second
   // oracle is the caller's to wire (the daemon resolves it from its store,
-  // the CLI from --other's ingested stream).
+  // the CLI from --other's data set).
   if (other != nullptr) std::get<ClosenessSpec>(*spec).other = other;
 
   const Result<Report> result = engine.Run(*spec);
@@ -596,170 +579,12 @@ int RunTask(const Args& args, const Engine& engine,
                  report.retries == 1 ? "y" : "ies");
     return kExitDeadline;
   }
-  if (!args.json) print_text(report);
+  if (!args.json) PrintText(args, report, note);
   return report.outcome == TaskOutcome::kRejected ? kExitReject : kExitOk;
 }
 
-// learn/test run against whichever Engine the caller built — the dataset
-// oracle (stdin items) or a telemetry bridge (--from-sketch). `source_note`
-// is the stderr provenance line ("stream: ..." / "sketch: ...").
-int RunLearnOn(const Args& args, const Engine& engine, const std::string& source_note) {
-  return RunTask(args, engine, [&](const Report& report) {
-    const TilingHistogram& out = args.reduce ? *report.reduced : report.learn->tiling;
-    WriteTilingHistogram(std::cout, out);
-    std::fprintf(stderr, "%s\n", source_note.c_str());
-    std::fprintf(stderr, "drew %lld samples (l=%lld, r=%lld x m=%lld), %lld pieces\n",
-                 static_cast<long long>(report.learn->total_samples),
-                 static_cast<long long>(report.learn->params.l),
-                 static_cast<long long>(report.learn->params.r),
-                 static_cast<long long>(report.learn->params.m),
-                 static_cast<long long>(out.k()));
-  });
-}
-
-std::string StreamNote(const Ingested& in) {
-  return "stream: " + std::to_string(in.stream_items) + " items, " +
-         std::to_string(in.items.size()) + " held";
-}
-
-int RunLearn(const Args& args, const Ingested& in) {
-  const DatasetSampler sampler(in.n, in.items, args.kernel);
-  std::optional<FaultInjectingSampler> faulty;
-  const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-  return RunLearnOn(args, engine, StreamNote(in));
-}
-
-int RunTestOn(const Args& args, const Engine& engine, const std::string& source_note) {
-  return RunTask(args, engine, [&](const Report& report) {
-    std::fprintf(stderr, "%s\n", source_note.c_str());
-    const TestOutcome& out = *report.test;
-    std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
-    std::printf("samples: %lld (r=%lld x m=%lld), norm: %s\n",
-                static_cast<long long>(out.total_samples),
-                static_cast<long long>(out.params.r),
-                static_cast<long long>(out.params.m), NormName(args.norm));
-    std::printf("flat partition found:");
-    for (const Interval& piece : out.flat_partition) {
-      std::printf(" %s", piece.ToString().c_str());
-    }
-    std::printf("\n");
-  });
-}
-
-int RunTest(const Args& args, const Ingested& in) {
-  const DatasetSampler sampler(in.n, in.items, args.kernel);
-  std::optional<FaultInjectingSampler> faulty;
-  const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-  return RunTestOn(args, engine, StreamNote(in));
-}
-
-int RunPropertyTest(const Args& args, const Ingested& in) {
-  const DatasetSampler sampler(in.n, in.items, args.kernel);
-  std::optional<FaultInjectingSampler> faulty;
-  const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-  return RunTask(args, engine, [&](const Report& report) {
-    const PropertyTestOutcome& out = *report.property_test;
-    std::fprintf(stderr, "stream: %lld items, %lld held\n",
-                 static_cast<long long>(in.stream_items),
-                 static_cast<long long>(in.items.size()));
-    std::printf("%s\n", out.accepted ? "ACCEPT" : "REJECT");
-    std::printf(
-        "samples: %lld (learn %lld + verify %lld x %lld), parts: %lld, "
-        "fit: %.3g vs %.3g, collisions: %.3g vs %.3g, "
-        "exceptions: %lld (mass %.3f vs %.3f)\n",
-        static_cast<long long>(out.total_samples),
-        static_cast<long long>(out.params.learn.TotalSamples()),
-        static_cast<long long>(out.params.verify_r),
-        static_cast<long long>(out.params.verify_m),
-        static_cast<long long>(out.refinement_parts), out.fit_stat, out.fit_threshold,
-        out.collision_stat, out.collision_threshold,
-        static_cast<long long>(out.exception_parts), out.exception_mass,
-        out.exception_mass_threshold);
-  });
-}
-
-int RunCloseness(const Args& args, const Ingested& in, const Ingested& other) {
-  // The two streams must share one domain: an explicit --n wins, otherwise
-  // the larger inferred domain covers both item sets.
-  const int64_t n = args.n > 0 ? args.n : std::max(in.n, other.n);
-  const DatasetSampler sampler_p(n, in.items, args.kernel);
-  const DatasetSampler sampler_q(n, other.items, args.kernel);
-  // Chaos coverage spans both oracles: p's faults surface in the learn
-  // phases, q's in the verification draws (distinct derived seed so the two
-  // schedules cannot correlate).
-  std::optional<FaultInjectingSampler> faulty_p, faulty_q;
-  const Engine engine(MaybeInjectFaults(args, sampler_p, faulty_p));
-  Args q_args = args;
-  q_args.fault_seed = args.fault_seed ^ 0x9E3779B97F4A7C15ULL;
-  const Sampler& oracle_q = MaybeInjectFaults(q_args, sampler_q, faulty_q);
-  return RunTask(
-      args, engine,
-      [&](const Report& report) {
-        const ClosenessOutcome& out = *report.closeness;
-        std::fprintf(stderr, "streams: %lld + %lld items over domain [0, %lld)\n",
-                     static_cast<long long>(in.stream_items),
-                     static_cast<long long>(other.stream_items),
-                     static_cast<long long>(n));
-        std::printf("%s\n", out.accepted ? "CLOSE" : "FAR");
-        std::printf(
-            "samples: %lld, refinement: %lld parts, statistic: %.4g vs %.4g\n",
-            static_cast<long long>(out.total_samples),
-            static_cast<long long>(out.refinement_parts), out.statistic,
-            out.threshold);
-      },
-      &oracle_q);
-}
-
-int RunCompare(const Args& args, const Ingested& in) {
-  // Counts came off the stream; the empirical pmf doubles as the session's
-  // oracle (sampling it = drawing random elements of D) and its truth.
-  std::vector<double> weights(in.counts.size());
-  for (size_t i = 0; i < in.counts.size(); ++i) {
-    weights[i] = static_cast<double>(in.counts[i]);
-  }
-  const Distribution truth = Distribution::FromWeights(std::move(weights));
-  const AliasSampler sampler(truth, args.kernel);
-  std::optional<FaultInjectingSampler> faulty;
-  const Engine engine(MaybeInjectFaults(args, sampler, faulty), truth);
-  return RunTask(args, engine, [&](const Report& report) {
-    std::fprintf(stderr, "stream: %lld items over domain [0, %lld)\n",
-                 static_cast<long long>(in.stream_items),
-                 static_cast<long long>(in.n));
-    Table table({"method", "pieces", "SSE vs empirical", "samples"});
-    for (const CompareRow& row : report.compare) {
-      table.AddRow({row.method, std::to_string(row.pieces), FmtE(row.sse),
-                    FmtI(row.samples)});
-    }
-    table.Print(std::cout);
-  });
-}
-
-// estimate: learn a synopsis, reduce it to k pieces, and answer quantile /
-// range-selectivity queries from it — the CLI twin of the daemon's most
-// cache-friendly request (histkd serves repeats of this from its synopsis
-// cache with zero oracle draws).
-int RunEstimate(const Args& args, const Ingested& in) {
-  const DatasetSampler sampler(in.n, in.items, args.kernel);
-  std::optional<FaultInjectingSampler> faulty;
-  const Engine engine(MaybeInjectFaults(args, sampler, faulty));
-  return RunTask(args, engine, [&](const Report& report) {
-    std::fprintf(stderr, "%s\n", StreamNote(in).c_str());
-    const EstimateAnswers& answers = *report.estimate;
-    for (const auto& q : answers.quantiles) {
-      std::printf("quantile %.6g -> %lld\n", q.q,
-                  static_cast<long long>(q.value));
-    }
-    for (const auto& s : answers.selectivity) {
-      std::printf("range %s -> %.6g\n", s.range.ToString().c_str(), s.estimate);
-    }
-    std::fprintf(stderr, "synopsis: %lld pieces from %lld samples\n",
-                 static_cast<long long>(report.reduced->k()),
-                 static_cast<long long>(report.learn->total_samples));
-  });
-}
-
 int RunGen(const Args& args) {
-  const int64_t n = args.n > 0 ? args.n : 256;
+  const int64_t n = args.req.n > 0 ? args.req.n : 256;
   // Validate user input up front: bad flags should exit 2 with a message,
   // not trip a library HISTK_CHECK abort.
   auto reject = [](const char* why) {
@@ -767,28 +592,28 @@ int RunGen(const Args& args) {
     return kExitUsage;
   };
   if (args.samples < 1) return reject("--samples must be >= 1");
-  if (args.k < 1 || args.k > n) return reject("--k must be in [1, n]");
+  if (args.req.k < 1 || args.req.k > n) return reject("--k must be in [1, n]");
   if (args.family == "zigzag") {
     if (n % 2 != 0) return reject("zigzag needs an even --n");
-    if (args.eps <= 0.0 ||
-        args.eps * static_cast<double>(n) / static_cast<double>(n - args.k) > 1.0) {
+    if (args.req.eps <= 0.0 ||
+        args.req.eps * static_cast<double>(n) / static_cast<double>(n - args.req.k) > 1.0) {
       return reject("zigzag --eps infeasible at this (n, k): amplitude would exceed 1");
     }
   }
-  if (args.family == "spikes" && n < 2 * args.k - 1) {
+  if (args.family == "spikes" && n < 2 * args.req.k - 1) {
     return reject("spikes need --n >= 2k-1 for isolation");
   }
   if (args.family == "gauss" && n < 2) return reject("gauss needs --n >= 2");
-  Rng rng(args.seed);
+  Rng rng(args.req.seed);
   auto make = [&]() -> std::optional<Distribution> {
-    if (args.family == "khist") return MakeRandomKHistogram(n, args.k, rng, args.contrast).dist;
-    if (args.family == "staircase") return MakeStaircase(n, args.k).dist;
+    if (args.family == "khist") return MakeRandomKHistogram(n, args.req.k, rng, args.contrast).dist;
+    if (args.family == "staircase") return MakeStaircase(n, args.req.k).dist;
     if (args.family == "zipf") return MakeZipf(n, args.skew);
     if (args.family == "gauss") {
       return MakeGaussianMixture(n, {{0.3, 0.08, 2.0}, {0.7, 0.05, 1.0}}, 0.05);
     }
-    if (args.family == "spikes") return MakeSpikes(n, std::max<int64_t>(1, args.k));
-    if (args.family == "zigzag") return MakeZigzagL1Far(n, args.k, args.eps);
+    if (args.family == "spikes") return MakeSpikes(n, std::max<int64_t>(1, args.req.k));
+    if (args.family == "zigzag") return MakeZigzagL1Far(n, args.req.k, args.req.eps);
     if (args.family == "uniform") return Distribution::Uniform(n);
     return std::nullopt;
   };
@@ -817,25 +642,86 @@ int RunGen(const Args& args) {
   std::fprintf(stderr, "gen: family=%s n=%lld items=%lld seed=%llu backend=%s kernel=%s\n",
                args.family.c_str(), static_cast<long long>(n),
                static_cast<long long>(args.samples),
-               static_cast<unsigned long long>(args.seed),
+               static_cast<unsigned long long>(args.req.seed),
                dist->is_bucketed() ? "bucket" : "dense",
                AliasKernelName(args.kernel));
   return kExitOk;
 }
 
-int RunVOptimal(const Args& args, const Ingested& in) {
-  // Counts came off the stream; the DP runs on the empirical pmf without
-  // the item list ever being materialized.
-  std::vector<double> weights(in.counts.size());
-  for (size_t i = 0; i < in.counts.size(); ++i) {
-    weights[i] = static_cast<double>(in.counts[i]);
-  }
-  const Distribution p = Distribution::FromWeights(std::move(weights));
-  const auto res = VOptimalHistogram(p, args.k);
+// voptimal: the exact DP on the empirical pmf of D (dense, so capped like
+// compare's truth).
+int RunVOptimal(const Args& args, const DatasetSampler& sampler) {
+  const Result<Distribution> p = sampler.TruthDist();
+  if (!p.ok()) return Fail(p.status());
+  const auto res = VOptimalHistogram(*p, args.req.k);
   WriteTilingHistogram(std::cout, res.histogram);
   std::fprintf(stderr, "empirical v-optimal SSE: %.6e\n", res.sse);
   return kExitOk;
 }
+
+// closeness: --other is read by the same reader under the same flags, and
+// both data sets must resolve to one domain (api::CheckClosenessDomains,
+// as in histkd). Chaos coverage spans both oracles: p's faults surface in
+// the learn phases, q's in the verification draws (distinct derived seed
+// so the two schedules cannot correlate).
+int RunCloseness(const Args& args, const DatasetSampler& p, const Sampler& oracle_p) {
+  if (args.other.empty()) {
+    std::fprintf(stderr, "closeness needs --other OTHER.txt (the second data set)\n");
+    return kExitUsage;
+  }
+  std::ifstream other_stream(args.other);
+  if (!other_stream) {
+    std::fprintf(stderr, "cannot open %s\n", args.other.c_str());
+    return kExitUsage;
+  }
+  Result<std::vector<int64_t>> q_items =
+      ParseDataset(other_stream, args.req.n, args.req.reservoir);
+  if (!q_items.ok()) return Fail(q_items.status(), args.other);
+  const Status same_domain =
+      api::CheckClosenessDomains(p.n(), DatasetDomain(args.req.n, *q_items));
+  if (!same_domain.ok()) return Fail(same_domain);
+  const DatasetSampler q(p.n(), std::move(*q_items), args.kernel);
+  std::optional<FaultInjectingSampler> faulty_q;
+  const Sampler& oracle_q =
+      MaybeInjectFaults(args, args.fault_seed ^ 0x9E3779B97F4A7C15ULL, q, faulty_q);
+  const std::string note = "streams: " + std::to_string(p.size()) + " + " +
+                           std::to_string(q.size()) + " items over domain [0, " +
+                           std::to_string(p.n()) + ")";
+  return RunTask(args, Engine(oracle_p), note, &oracle_q);
+}
+
+// Every item-backed subcommand: stdin through the one dataset reader
+// (ParseDataset, histkd's "path" policy), one DatasetSampler over D under
+// --inject-faults' decorator, then the task. compare scores against the
+// empirical pmf of D, the oracle/truth pair histkd's TruthEngine uses.
+int RunOnItems(const Args& args) {
+  Result<std::vector<int64_t>> items =
+      ParseDataset(std::cin, args.req.n, args.req.reservoir);
+  if (!items.ok()) return Fail(items.status());
+  const int64_t n = DatasetDomain(args.req.n, *items);
+  const DatasetSampler sampler(n, std::move(*items), args.kernel);
+  if (args.command == "voptimal") return RunVOptimal(args, sampler);
+
+  std::optional<FaultInjectingSampler> faulty;
+  const Sampler& oracle = MaybeInjectFaults(args, args.fault_seed, sampler, faulty);
+  const std::string held = std::to_string(sampler.size());
+  switch (args.req.kind) {
+    case api::RequestKind::kCloseness:
+      return RunCloseness(args, sampler, oracle);
+    case api::RequestKind::kCompare: {
+      Result<Distribution> truth = sampler.TruthDist();
+      if (!truth.ok()) return Fail(truth.status());
+      return RunTask(args, Engine(oracle, std::move(*truth)),
+                     "stream: " + held + " items over domain [0, " +
+                         std::to_string(n) + ")");
+    }
+    default:
+      return RunTask(args, Engine(oracle), "stream: " + held + " items, " + held + " held");
+  }
+}
+
+// ingest hands parsed values to its writers in chunks of this many.
+constexpr int64_t kIngestChunk = int64_t{1} << 16;
 
 int RunIngest(const Args& args) {
   if (!LogBucketMantissaBitsValid(static_cast<int>(args.mantissa_bits))) {
@@ -895,8 +781,9 @@ int RunIngest(const Args& args) {
     chunk = std::vector<uint64_t>();
     chunk.reserve(static_cast<size_t>(kIngestChunk));
   };
-  // Same dataset grammar as every other subcommand (ScanDataset); the same
-  // CLI policy for negatives (warn and drop). Values use the full u64 range
+  // Same dataset grammar as every other subcommand (ScanDataset), but these
+  // are telemetry values, not a data set D: negatives are warned about and
+  // dropped rather than refused. Values use the full u64 range
   // the library supports only via the API — the shared grammar is int64, so
   // the CLI tops out at 2^63 - 1, plenty for ns-scale latencies.
   const Status scan = ScanDataset(std::cin, [&](int64_t v, int64_t) -> Status {
@@ -915,10 +802,7 @@ int RunIngest(const Args& args) {
   }
   can_pop.notify_all();
   for (std::thread& t : pool) t.join();
-  if (!scan.ok()) {
-    std::fprintf(stderr, "%s\n", scan.ToString().c_str());
-    return scan.code() == StatusCode::kParseError ? kExitParse : kExitUsage;
-  }
+  if (!scan.ok()) return Fail(scan);
 
   const HistogramSnapshot snap = hist.Snapshot();
   if (snap.TotalCount() == 0) {
@@ -967,12 +851,7 @@ int RunFromSketch(const Args& args) {
     return kExitUsage;
   }
   const Result<HistogramSnapshot> snap = ParseSnapshot(f);
-  if (!snap.ok()) {
-    std::fprintf(stderr, "%s: %s\n", args.from_sketch.c_str(),
-                 snap.status().ToString().c_str());
-    return snap.status().code() == StatusCode::kParseError ? kExitParse
-                                                           : kExitUsage;
-  }
+  if (!snap.ok()) return Fail(snap.status(), args.from_sketch);
   const Result<TelemetrySession> session =
       TelemetrySession::FromSnapshot(*snap, args.kernel);
   if (!session.ok()) {
@@ -984,8 +863,7 @@ int RunFromSketch(const Args& args) {
       "sketch: " + std::to_string(snap->TotalCount()) + " values, " +
       std::to_string(snap->OccupiedBuckets()) + " occupied buckets over domain [0, " +
       std::to_string(session->n()) + ")";
-  if (args.command == "learn") return RunLearnOn(args, session->engine(), note);
-  return RunTestOn(args, session->engine(), note);
+  return RunTask(args, session->engine(), note);
 }
 
 }  // namespace
@@ -1005,59 +883,5 @@ int main(int argc, char** argv) {
     }
     return RunFromSketch(args);
   }
-  const IngestMode mode =
-      args.command == "voptimal" || args.command == "compare" ? IngestMode::kCounts
-                                                              : IngestMode::kReservoir;
-  if (mode == IngestMode::kCounts && args.n > kMaxCountsDomain) {
-    std::fprintf(stderr,
-                 "%s needs a dense counts table: --n must be <= 2^24 "
-                 "(use learn/test for huge domains)\n",
-                 args.command.c_str());
-    return kExitUsage;
-  }
-  const Result<Ingested> ingested =
-      IngestStream(std::cin, args.n, mode, args.reservoir, args.seed);
-  if (!ingested.ok()) {
-    std::fprintf(stderr, "%s\n", ingested.status().ToString().c_str());
-    return ingested.status().code() == StatusCode::kParseError ? kExitParse
-                                                               : kExitUsage;
-  }
-  const Ingested& in = *ingested;
-  if (in.stream_items == 0 || in.n < 1) {
-    std::fprintf(stderr, "no items in [0, n) on stdin\n");
-    return kExitUsage;
-  }
-  if (args.command == "learn") return RunLearn(args, in);
-  if (args.command == "test") return RunTest(args, in);
-  if (args.command == "estimate") return RunEstimate(args, in);
-  if (args.command == "property-test") return RunPropertyTest(args, in);
-  if (args.command == "closeness") {
-    if (args.other.empty()) {
-      std::fprintf(stderr, "closeness needs --other OTHER.txt (the second data set)\n");
-      return kExitUsage;
-    }
-    std::ifstream other_stream(args.other);
-    if (!other_stream) {
-      std::fprintf(stderr, "cannot open %s\n", args.other.c_str());
-      return kExitUsage;
-    }
-    // Derive the second reservoir's stream from a distinct seed so the two
-    // ingests cannot correlate.
-    const Result<Ingested> other = IngestStream(other_stream, args.n,
-                                                IngestMode::kReservoir,
-                                                args.reservoir, args.seed ^ 0x9E3779B9ULL);
-    if (!other.ok()) {
-      std::fprintf(stderr, "%s: %s\n", args.other.c_str(),
-                   other.status().ToString().c_str());
-      return other.status().code() == StatusCode::kParseError ? kExitParse
-                                                              : kExitUsage;
-    }
-    if (other->stream_items == 0 || other->n < 1) {
-      std::fprintf(stderr, "no items in [0, n) in %s\n", args.other.c_str());
-      return kExitUsage;
-    }
-    return RunCloseness(args, in, *other);
-  }
-  if (args.command == "compare") return RunCompare(args, in);
-  return RunVOptimal(args, in);
+  return RunOnItems(args);
 }
