@@ -104,9 +104,9 @@ struct RequestSpec {
   /// files); 0 = derive from max item + 1.
   int64_t n = 0;
   /// Held-item cap shared by both frontends: histk_cli's --reservoir (for
-  /// stdin and --other) and histkd's "reservoir" (for "path" files). A
-  /// data set with more items is refused, never subsampled (see
-  /// ParseDataset in dist/io.h).
+  /// stdin and --other) and histkd's "reservoir" (for "path" files and
+  /// inline "items"). A data set with more items is refused, never
+  /// subsampled (see ParseDataset in dist/io.h).
   int64_t reservoir = int64_t{1} << 20;
 
   DatasetRef dataset;

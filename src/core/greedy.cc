@@ -22,18 +22,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class GreedyState {
  public:
   GreedyState(const GreedyEstimator& estimator, std::vector<int64_t> endpoints)
-      : est_(estimator), n_(estimator.n()), endpoints_(std::move(endpoints)) {
+      : est_(estimator),
+        n_(estimator.n()),
+        endpoints_(std::move(endpoints)),
+        candidate_costs_(est_.PieceCostTable(endpoints_)) {
     pieces_.push_back(Interval::Full(n_));
     costs_.push_back(est_.PieceCost(pieces_[0]));
     total_ = costs_[0];
-    const size_t d = endpoints_.size();
-    candidate_costs_.reserve(d * (d + 1) / 2);
-    for (size_t ai = 0; ai < d; ++ai) {
-      for (size_t bi = ai; bi < d; ++bi) {
-        candidate_costs_.push_back(
-            est_.PieceCost(Interval(endpoints_[ai], endpoints_[bi])));
-      }
-    }
   }
 
   double total_cost() const { return total_; }
@@ -290,8 +285,10 @@ Status ValidateLearnOptions(int64_t n, const LearnOptions& options) {
   if (options.iterations_override < 0) {
     return Status::InvalidArgument("iterations_override must be >= 0 (0 = paper)");
   }
-  if (options.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = paper)");
+  if (options.r_override < 0 || options.r_override > SampleSetGroup::kMaxSets) {
+    return Status::InvalidArgument("r_override must be in [0, " +
+                                   std::to_string(SampleSetGroup::kMaxSets) +
+                                   "] (0 = paper)");
   }
   if (!GreedyParamsRepresentable(n, options.k, options.eps, options.sample_scale)) {
     return Status::InvalidArgument(

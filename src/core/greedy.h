@@ -25,15 +25,33 @@
 // read, a loop over the <= 3*iterations + 1 pieces it overlaps, and two
 // vector reads.
 //
+// The table (GreedyEstimator::PieceCostTable) is built from an
+// endpoint-indexed layout rather than one PieceCost call per pair. For
+// each endpoint e it gathers the main set's prefix counts below e and
+// below e + 1, and each collision set's prefix collision counts at the same
+// two points, into flat [endpoint][set] arrays (2*d*r u64, ~50 KB at
+// d = 245, r = 13). For each ai it walks bi upward, keeping the r collision
+// counts of [e_ai, e_bi] sorted with one insertion pass per step. The
+// counts only grow with bi, so the order rarely changes and the branches
+// predict. z_J is the lower median, read as an integer at index (r-1)/2
+// and divided once by C(m, 2). That needs every collision set to hold the
+// same m, as the paper draws them; GreedyEstimator checks it.
+//
 // Memory: 8 B x candidates_per_iter, at most ~16 MB under the default
 // max_candidates of 2M (ValidateLearnOptions bounds kAllIntervals' n(n+1)/2
-// by the same cap), freed when the learn returns.
+// by the same cap), plus the 2*d*(r+1) prefix counts while the table is
+// built, all freed when the learn returns.
 //
-// Results are bit-identical to pricing each candidate from scratch: the
-// table holds the very PieceCost values, and each c_J is summed in the same
-// order (PieceCost(J), minus each overlapped piece left to right, plus the
-// left and right remnants; an empty remnant adds -0.0, which leaves every
-// double unchanged). The strict `<` scan keeps the first minimum.
+// Results are bit-identical to pricing each candidate from scratch. The
+// table holds the very PieceCost values: PieceCost takes the same integer
+// lower median, and the median of r ratios coll_j / C(m, 2) is that median
+// divided by C(m, 2), since a selection commutes with the correctly
+// rounded, order-preserving x -> x / C(m, 2). Each c_J is summed in the
+// same order (PieceCost(J), minus each overlapped piece left to right,
+// plus the left and right remnants; an empty remnant adds -0.0, which
+// leaves every double unchanged). The strict `<` scan keeps the first
+// minimum. tests/candidate_table_test.cc checks the table entry by entry,
+// and tests/greedy_golden_test.cc pins whole learns.
 #ifndef HISTK_CORE_GREEDY_H_
 #define HISTK_CORE_GREEDY_H_
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "histogram/ops.h"
 #include "stats/estimators.h"
@@ -153,8 +154,10 @@ Status ValidatePropertyTestConfig(int64_t n, const PropertyTestConfig& config) {
   if (!(config.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (config.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = formula)");
+  if (config.r_override < 0 || config.r_override > SampleSetGroup::kMaxSets) {
+    return Status::InvalidArgument("r_override must be in [0, " +
+                                   std::to_string(SampleSetGroup::kMaxSets) +
+                                   "] (0 = formula)");
   }
   if (Status s = ValidateLearnOptions(n, PropertyTestLearnOptions(config)); !s.ok()) {
     return s;
@@ -408,8 +411,10 @@ Status ValidateClosenessConfig(int64_t n, const ClosenessConfig& config) {
   if (!(config.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (config.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = formula)");
+  if (config.r_override < 0 || config.r_override > SampleSetGroup::kMaxSets) {
+    return Status::InvalidArgument("r_override must be in [0, " +
+                                   std::to_string(SampleSetGroup::kMaxSets) +
+                                   "] (0 = formula)");
   }
   if (Status s = ValidateLearnOptions(n, ClosenessLearnOptions(config, config.k_p));
       !s.ok()) {

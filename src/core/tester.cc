@@ -1,5 +1,7 @@
 #include "core/tester.h"
 
+#include <string>
+
 #include "util/common.h"
 
 namespace histk {
@@ -59,8 +61,10 @@ Status ValidateTestConfig(int64_t n, const TestConfig& config) {
   if (!(config.sample_scale > 0.0)) {
     return Status::InvalidArgument("sample_scale must be positive");
   }
-  if (config.r_override < 0) {
-    return Status::InvalidArgument("r_override must be >= 0 (0 = paper)");
+  if (config.r_override < 0 || config.r_override > SampleSetGroup::kMaxSets) {
+    return Status::InvalidArgument("r_override must be in [0, " +
+                                   std::to_string(SampleSetGroup::kMaxSets) +
+                                   "] (0 = paper)");
   }
   const bool representable =
       config.norm == Norm::kL2

@@ -326,6 +326,21 @@ Status ScanDataset(std::istream& is,
   return Status::Ok();
 }
 
+Status CheckDatasetItem(int64_t item, int64_t n, int64_t line) {
+  if (item >= 0 && (n <= 0 || item < n)) return Status::Ok();
+  return Status::ParseError(
+      "line " + std::to_string(line) + ": item " + std::to_string(item) +
+      " outside the dataset domain " +
+      (n > 0 ? "[0, " + std::to_string(n) + ")" : "(items must be >= 0)"));
+}
+
+Status CheckHeldItemCount(int64_t count, int64_t max_items) {
+  if (count <= max_items) return Status::Ok();
+  return Status::InvalidArgument(
+      "dataset exceeds the held-item cap of " + std::to_string(max_items) +
+      " items; raise --reservoir / \"reservoir\" or pre-sample the file");
+}
+
 Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n,
                                           int64_t max_items) {
   if (max_items <= 0) {
@@ -335,17 +350,9 @@ Result<std::vector<int64_t>> ParseDataset(std::istream& is, int64_t n,
   }
   std::vector<int64_t> items;
   const Status s = ScanDataset(is, [&](int64_t v, int64_t line) -> Status {
-    if (v < 0 || (n > 0 && v >= n)) {
-      return Status::ParseError(
-          "line " + std::to_string(line) + ": item " + std::to_string(v) +
-          " outside the dataset domain " +
-          (n > 0 ? "[0, " + std::to_string(n) + ")" : "(items must be >= 0)"));
-    }
-    if (static_cast<int64_t>(items.size()) == max_items) {
-      return Status::InvalidArgument(
-          "dataset exceeds the held-item cap of " + std::to_string(max_items) +
-          " items; raise --reservoir / \"reservoir\" or pre-sample the file");
-    }
+    if (Status bad = CheckDatasetItem(v, n, line); !bad.ok()) return bad;
+    const auto held = static_cast<int64_t>(items.size());
+    if (Status over = CheckHeldItemCount(held + 1, max_items); !over.ok()) return over;
     items.push_back(v);
     return Status::Ok();
   });

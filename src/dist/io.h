@@ -94,6 +94,16 @@ bool TokenToF64(const std::string& token, double& out);
 Status ScanDataset(std::istream& is,
                    const std::function<Status(int64_t item, int64_t line)>& item);
 
+/// The item rule of ParseDataset for one token: ParseError naming `line`
+/// when `item` is negative or, for n > 0, not below n. histk_cli's ingest
+/// holds its telemetry values to the same rule with n = 0.
+Status CheckDatasetItem(int64_t item, int64_t n, int64_t line);
+
+/// The held-item cap of ParseDataset: InvalidArgument naming the cap and
+/// its --reservoir / "reservoir" knob when `count` items exceed
+/// `max_items`. histkd applies it to inline "items" uploads too.
+Status CheckHeldItemCount(int64_t count, int64_t max_items);
+
 /// Reads a data set (one integer per line) until EOF: the one item-file
 /// reader, behind histk_cli's stdin and --other and histkd's "path" refs,
 /// so both frontends hold exactly D or refuse it with the same status.

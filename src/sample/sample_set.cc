@@ -1,6 +1,7 @@
 #include "sample/sample_set.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <utility>
 
@@ -128,29 +129,30 @@ SampleSet SampleSet::DrawSharded(const Sampler& sampler, int64_t m, Rng& rng,
 int64_t SampleSet::Count(Interval I) const {
   I = I.Intersect(Interval::Full(n_));
   if (I.empty()) return 0;
-  if (dense_) {
-    return prefix_count_[static_cast<size_t>(I.hi + 1)] -
-           prefix_count_[static_cast<size_t>(I.lo)];
-  }
-  const auto lo = std::lower_bound(distinct_.begin(), distinct_.end(), I.lo);
-  const auto hi = std::upper_bound(distinct_.begin(), distinct_.end(), I.hi);
-  const size_t a = static_cast<size_t>(lo - distinct_.begin());
-  const size_t b = static_cast<size_t>(hi - distinct_.begin());
-  return sparse_prefix_count_[b] - sparse_prefix_count_[a];
+  return CountBelow(I.hi + 1) - CountBelow(I.lo);
 }
 
 uint64_t SampleSet::Collisions(Interval I) const {
   I = I.Intersect(Interval::Full(n_));
   if (I.empty()) return 0;
-  if (dense_) {
-    return prefix_coll_[static_cast<size_t>(I.hi + 1)] -
-           prefix_coll_[static_cast<size_t>(I.lo)];
-  }
-  const auto lo = std::lower_bound(distinct_.begin(), distinct_.end(), I.lo);
-  const auto hi = std::upper_bound(distinct_.begin(), distinct_.end(), I.hi);
-  const size_t a = static_cast<size_t>(lo - distinct_.begin());
-  const size_t b = static_cast<size_t>(hi - distinct_.begin());
-  return sparse_prefix_coll_[b] - sparse_prefix_coll_[a];
+  return CollisionsBelow(I.hi + 1) - CollisionsBelow(I.lo);
+}
+
+size_t SampleSet::DistinctBelow(int64_t x) const {
+  return static_cast<size_t>(std::lower_bound(distinct_.begin(), distinct_.end(), x) -
+                             distinct_.begin());
+}
+
+int64_t SampleSet::CountBelow(int64_t x) const {
+  HISTK_DCHECK(x >= 0 && x <= n_);
+  if (dense_) return prefix_count_[static_cast<size_t>(x)];
+  return sparse_prefix_count_[DistinctBelow(x)];
+}
+
+uint64_t SampleSet::CollisionsBelow(int64_t x) const {
+  HISTK_DCHECK(x >= 0 && x <= n_);
+  if (dense_) return prefix_coll_[static_cast<size_t>(x)];
+  return sparse_prefix_coll_[DistinctBelow(x)];
 }
 
 double SampleSet::SumSquaresEstimate(Interval I) const {
@@ -188,6 +190,7 @@ SampleSetGroup SampleSetGroup::DrawSharded(const Sampler& sampler, int64_t r,
 
 SampleSetGroup::SampleSetGroup(std::vector<SampleSet> sets) : sets_(std::move(sets)) {
   HISTK_CHECK(!sets_.empty());
+  HISTK_CHECK_MSG(r() <= kMaxSets, "a sample-set group holds at most kMaxSets sets");
   for (const auto& s : sets_) HISTK_CHECK(s.n() == sets_.front().n());
 }
 
@@ -198,30 +201,27 @@ const SampleSet& SampleSetGroup::set(int64_t i) const {
   return sets_[static_cast<size_t>(i)];
 }
 
-namespace {
-
-// Hot path for the greedy candidate loop: reuse one scratch buffer instead
-// of allocating a vector per median query.
-double MedianInPlace(std::vector<double>& vals) {
-  const size_t mid = (vals.size() - 1) / 2;
-  std::nth_element(vals.begin(), vals.begin() + static_cast<ptrdiff_t>(mid), vals.end());
-  return vals[mid];
-}
-
-}  // namespace
+// The median combiners select in a stack buffer of kMaxSets slots, so a
+// query allocates nothing; only the first r() slots are written and read.
 
 double SampleSetGroup::MedianSumSquaresEstimate(Interval I) const {
-  thread_local std::vector<double> vals;
-  vals.clear();
-  for (const auto& s : sets_) vals.push_back(s.SumSquaresEstimate(I));
-  return MedianInPlace(vals);
+  std::array<double, kMaxSets> vals;
+  for (size_t j = 0; j < sets_.size(); ++j) vals[j] = sets_[j].SumSquaresEstimate(I);
+  return LowerMedianInPlace(vals.data(), sets_.size());
+}
+
+uint64_t SampleSetGroup::MedianCollisions(Interval I) const {
+  std::array<uint64_t, kMaxSets> colls;
+  for (size_t j = 0; j < sets_.size(); ++j) colls[j] = sets_[j].Collisions(I);
+  return LowerMedianInPlace(colls.data(), sets_.size());
 }
 
 double SampleSetGroup::MedianCondCollisionRate(Interval I) const {
-  thread_local std::vector<double> vals;
-  vals.clear();
-  for (const auto& s : sets_) vals.push_back(s.CondCollisionRate(I).value_or(0.0));
-  return MedianInPlace(vals);
+  std::array<double, kMaxSets> vals;
+  for (size_t j = 0; j < sets_.size(); ++j) {
+    vals[j] = sets_[j].CondCollisionRate(I).value_or(0.0);
+  }
+  return LowerMedianInPlace(vals.data(), sets_.size());
 }
 
 int64_t SampleSetGroup::TotalSamples() const {

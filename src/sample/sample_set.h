@@ -77,6 +77,12 @@ class SampleSet {
   /// coll(S_I) = sum_{i in I} C(occ(i), 2).
   uint64_t Collisions(Interval I) const;
 
+  /// Prefix forms, x in [0, n]: samples below x, and the collision pairs
+  /// among values below x. Count([a, b]) = CountBelow(b + 1) - CountBelow(a),
+  /// and likewise for collisions.
+  int64_t CountBelow(int64_t x) const;
+  uint64_t CollisionsBelow(int64_t x) const;
+
   /// coll(S_I) / C(|S|, 2): unbiased estimate of sum_{i in I} p_i^2
   /// (Lemma 1). Requires m >= 2.
   double SumSquaresEstimate(Interval I) const;
@@ -90,6 +96,9 @@ class SampleSet {
 
  private:
   SampleSet(int64_t n, int64_t m);
+
+  /// Number of distinct values below x (sparse backend).
+  size_t DistinctBelow(int64_t x) const;
 
   int64_t n_ = 0;
   int64_t m_ = 0;
@@ -109,6 +118,11 @@ class SampleSet {
 /// the median-of-r combiners used for z_I.
 class SampleSetGroup {
  public:
+  /// Most sets a group holds. The median combiners select in a fixed stack
+  /// buffer of this size; the paper's formulas stay below it for every
+  /// int64 domain (the largest, the testers' 16 ln(6 n^2), is < 1420).
+  static constexpr int64_t kMaxSets = 2048;
+
   /// Draws r sets of m samples each (fused path per set; see
   /// SampleSet::Draw).
   static SampleSetGroup Draw(const Sampler& sampler, int64_t r, int64_t m, Rng& rng);
@@ -117,7 +131,7 @@ class SampleSetGroup {
   static SampleSetGroup DrawSharded(const Sampler& sampler, int64_t r, int64_t m,
                                     Rng& rng, int num_threads);
 
-  /// Wraps existing sets (all with the same n).
+  /// Wraps existing sets (1 to kMaxSets of them, all with the same n).
   explicit SampleSetGroup(std::vector<SampleSet> sets);
 
   int64_t r() const { return static_cast<int64_t>(sets_.size()); }
@@ -127,6 +141,12 @@ class SampleSetGroup {
   /// z_I of Algorithm 1: median over sets of coll(S^j_I)/C(|S^j|, 2),
   /// estimating sum_{i in I} p_i^2.
   double MedianSumSquaresEstimate(Interval I) const;
+
+  /// The lower median over sets of coll(S^j_I), exact. With equal set
+  /// sizes m, MedianCollisions(I) / C(m, 2) is MedianSumSquaresEstimate(I)
+  /// bit for bit: the median is a pure selection and x -> x / C(m, 2)
+  /// keeps order.
+  uint64_t MedianCollisions(Interval I) const;
 
   /// Tester-side z_I: median over sets of coll(S^j_I)/C(|S^j_I|, 2),
   /// estimating ||p_I||_2^2. Sets with |S^j_I| < 2 contribute 0 (they have

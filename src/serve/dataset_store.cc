@@ -235,8 +235,12 @@ Result<std::shared_ptr<ServedDataset>> DatasetStore::Resolve(
       return ds;
     }
 
-    case Kind::kInline:
+    case Kind::kInline: {
+      // The held-item cap binds an upload as it binds a "path" file.
+      const auto held = static_cast<int64_t>(ref.items.size());
+      if (Status over = CheckHeldItemCount(held, reservoir); !over.ok()) return over;
       return LoadItems(n, ref.items);
+    }
 
     case Kind::kPath: {
       Result<std::string> checked = CheckFsRef(ref.path);

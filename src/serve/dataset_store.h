@@ -132,7 +132,8 @@ class DatasetStore {
   /// looks up bare fingerprint refs (InvalidArgument when unknown — the
   /// client must resend the dataset). `n` and `reservoir` are the
   /// request's domain and held-item cap; "path" files are read by
-  /// dist/io's ParseDataset under them, like histk_cli's stdin.
+  /// dist/io's ParseDataset under them, like histk_cli's stdin, and inline
+  /// "items" past the cap are refused with ParseDataset's status.
   Result<std::shared_ptr<ServedDataset>> Resolve(const api::DatasetRef& ref,
                                                  int64_t n, int64_t reservoir);
 

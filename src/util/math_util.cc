@@ -10,10 +10,7 @@ namespace histk {
 
 double Median(std::vector<double> values) {
   HISTK_CHECK(!values.empty());
-  const size_t mid = (values.size() - 1) / 2;
-  std::nth_element(values.begin(), values.begin() + static_cast<ptrdiff_t>(mid),
-                   values.end());
-  return values[mid];
+  return LowerMedianInPlace(values.data(), values.size());
 }
 
 double Mean(const std::vector<double>& values) {

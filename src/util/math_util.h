@@ -2,6 +2,8 @@
 #ifndef HISTK_UTIL_MATH_UTIL_H_
 #define HISTK_UTIL_MATH_UTIL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -9,6 +11,20 @@ namespace histk {
 
 /// C(m, 2) = m(m-1)/2 as an unsigned 64-bit value (m up to ~6e9 is safe).
 inline uint64_t PairCount(uint64_t m) { return m < 2 ? 0 : m * (m - 1) / 2; }
+
+/// The one median rule of histk's median-of-r combiners: the lower median,
+/// the element at index (r - 1) / 2 of r >= 1 values in ascending order.
+constexpr size_t LowerMedianIndex(size_t r) { return (r - 1) / 2; }
+
+/// The lower median of vals[0, r), r >= 1, selected in place (reorders
+/// vals). A pure selection, so any order-preserving map of the values
+/// commutes with it.
+template <typename T>
+T LowerMedianInPlace(T* vals, size_t r) {
+  T* const mid = vals + LowerMedianIndex(r);
+  std::nth_element(vals, mid, vals + r);
+  return *mid;
+}
 
 /// Median of a vector (lower median for even sizes). Copies its input so the
 /// caller's order is preserved. Requires a non-empty vector.

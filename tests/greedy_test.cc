@@ -187,6 +187,18 @@ TEST(GreedyTest, MaxCandidatesBelowThreeIsRejected) {
   EXPECT_EQ(res.candidates_per_iter, 3);
 }
 
+TEST(GreedyTest, SetCountOverrideIsBoundedByTheGroupCap) {
+  // The median combiners select in a fixed buffer of kMaxSets entries, so a
+  // larger r is refused up front instead of aborting in SampleSetGroup.
+  LearnOptions opt = FastOptions(2, 0.3);
+  opt.r_override = SampleSetGroup::kMaxSets;
+  EXPECT_TRUE(ValidateLearnOptions(256, opt).ok());
+  opt.r_override = SampleSetGroup::kMaxSets + 1;
+  const Status s = ValidateLearnOptions(256, opt);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("[0, 2048]"), std::string::npos) << s.message();
+}
+
 TEST(GreedyTest, AllIntervalsDomainIsBoundedByMaxCandidates) {
   LearnOptions opt = FastOptions(2, 0.3);
   opt.strategy = CandidateStrategy::kAllIntervals;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "api/json.h"
+#include "dist/io.h"
 #include "serve/dataset_store.h"
 #include "stream/concurrent_histogram.h"
 
@@ -504,6 +505,27 @@ TEST(HistkdTest, UnknownFingerprintIsActionableError) {
   EXPECT_EQ(GetString(v, "status"), "invalid-argument");
   EXPECT_NE(GetString(v, "error").find("unknown dataset fingerprint"),
             std::string::npos);
+}
+
+TEST(HistkdTest, InlineItemsAreHeldToTheReservoirCap) {
+  ServeOptions options;
+  options.workers = 1;
+  HistkdServer server(options);
+
+  // kItems holds 10 items: one past a cap of 9 is refused whole, with the
+  // status a "path" file or histk_cli's stdin gets for the same items.
+  const JsonValue over =
+      MustParse(server.HandleLine(LearnLine("over", ", \"reservoir\": 9")));
+  EXPECT_EQ(GetString(over, "status"), "invalid-argument");
+  std::istringstream same_items("0 0 1 1 2 3 3 3 7 7\n");
+  const Result<std::vector<int64_t>> parsed = ParseDataset(same_items, 0, 9);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(GetString(over, "error"), parsed.status().message());
+  EXPECT_EQ(server.dataset_counters().entries, 0);
+
+  const JsonValue at_cap =
+      MustParse(server.HandleLine(LearnLine("at", ", \"reservoir\": 10")));
+  EXPECT_EQ(GetString(at_cap, "status"), "ok");
 }
 
 TEST(HistkdTest, OversizedFullEnumerationIsTypedErrorAndServingContinues) {

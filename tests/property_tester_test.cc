@@ -292,6 +292,19 @@ TEST(ClosenessValidationTest, RejectsBadConfigsWithoutAborting) {
   EXPECT_TRUE(ValidateClosenessConfig(64, cfg).ok());
 }
 
+TEST(PropertyTesterValidationTest, SetCountOverrideIsBoundedByTheGroupCap) {
+  PropertyTestConfig property;
+  ClosenessConfig closeness;
+  property.r_override = closeness.r_override = SampleSetGroup::kMaxSets;
+  EXPECT_TRUE(ValidatePropertyTestConfig(64, property).ok());
+  EXPECT_TRUE(ValidateClosenessConfig(64, closeness).ok());
+  property.r_override = closeness.r_override = SampleSetGroup::kMaxSets + 1;
+  EXPECT_EQ(ValidatePropertyTestConfig(64, property).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateClosenessConfig(64, closeness).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PropertyTesterParamsTest, VerifyRateIsSubquadraticInEpsAndSublinearInN) {
   // The verification budget must follow the CDKL22 shape: ~sqrt growth in
   // n (at fixed k, eps) and ~eps^-2 growth — far below the reference

@@ -159,8 +159,56 @@ TEST(SampleSetGroupTest, CondRateZeroWhenNoSamplesInInterval) {
   EXPECT_DOUBLE_EQ(g.MedianCondCollisionRate(Interval(8, 15)), 0.0);
 }
 
+TEST(SampleSetTest, PrefixFormsMatchIntervalQueriesOnBothBackends) {
+  const int64_t sparse_n = SampleSet::kDenseDomainLimit + 7;
+  for (const int64_t n : {int64_t{10}, sparse_n}) {
+    std::vector<int64_t> draws = FixedDraws();
+    draws.push_back(n - 1);
+    draws.push_back(n - 1);
+    const SampleSet s = SampleSet::FromDraws(n, draws);
+    EXPECT_EQ(s.CountBelow(0), 0);
+    EXPECT_EQ(s.CollisionsBelow(0), 0u);
+    EXPECT_EQ(s.CountBelow(n), s.m());
+    for (int64_t lo : {int64_t{0}, int64_t{2}, int64_t{5}, n - 1}) {
+      for (int64_t hi : {int64_t{5}, int64_t{9}, n - 1}) {
+        if (hi < lo) continue;
+        const Interval I(lo, hi);
+        EXPECT_EQ(s.CountBelow(hi + 1) - s.CountBelow(lo), BruteCount(draws, I));
+        EXPECT_EQ(s.CollisionsBelow(hi + 1) - s.CollisionsBelow(lo),
+                  BruteCollisions(draws, n, I));
+      }
+    }
+  }
+}
+
+TEST(SampleSetGroupTest, MedianCollisionsIsTheLowerMedian) {
+  // Collisions on [0, 3] per set: 0, 3, 1, 6 -> lower median of 4 is 1.
+  std::vector<SampleSet> sets;
+  sets.push_back(SampleSet::FromDraws(8, {0, 1, 2, 3, 4, 4}));
+  sets.push_back(SampleSet::FromDraws(8, {0, 0, 0, 3, 5, 6}));
+  sets.push_back(SampleSet::FromDraws(8, {1, 1, 2, 5, 6, 7}));
+  sets.push_back(SampleSet::FromDraws(8, {2, 2, 2, 2, 6, 7}));
+  const SampleSetGroup g(std::move(sets));
+  EXPECT_EQ(g.MedianCollisions(Interval(0, 3)), 1u);
+  // Equal set sizes: the integer median over C(6, 2) is the ratio median.
+  for (int64_t lo = 0; lo < 8; ++lo) {
+    for (int64_t hi = lo; hi < 8; ++hi) {
+      const Interval I(lo, hi);
+      EXPECT_EQ(static_cast<double>(g.MedianCollisions(I)) / 15.0,
+                g.MedianSumSquaresEstimate(I))
+          << I.ToString();
+    }
+  }
+}
+
 TEST(SampleSetDeathTest, OutOfDomainDrawAborts) {
   EXPECT_DEATH(SampleSet::FromDraws(4, {0, 4}), "out of domain");
+}
+
+TEST(SampleSetDeathTest, GroupAboveMaxSetsAborts) {
+  std::vector<SampleSet> sets(static_cast<size_t>(SampleSetGroup::kMaxSets) + 1,
+                              SampleSet::FromDraws(4, {0, 1}));
+  EXPECT_DEATH(SampleSetGroup(std::move(sets)), "at most kMaxSets");
 }
 
 }  // namespace

@@ -39,6 +39,14 @@ TestConfig L1Config(int64_t k, double eps, double scale) {
   return cfg;
 }
 
+TEST(TesterValidationTest, SetCountOverrideIsBoundedByTheGroupCap) {
+  TestConfig cfg = L2Config(4, 0.3);
+  cfg.r_override = SampleSetGroup::kMaxSets;
+  EXPECT_TRUE(ValidateTestConfig(256, cfg).ok());
+  cfg.r_override = SampleSetGroup::kMaxSets + 1;
+  EXPECT_EQ(ValidateTestConfig(256, cfg).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TesterL2Test, AcceptsExactKHistograms) {
   Rng gen(401);
   const HistogramSpec spec = MakeRandomKHistogram(256, 4, gen, 20.0);

@@ -14,11 +14,13 @@ Both frontends read item files through one reader and one policy
      {"path": ...} ref to the same file, with every "wall_ms" masked. Each
      request runs in a fresh daemon so no answer comes from its cache.
   2. hostile inputs — an out-of-domain item, a negative item, a bogus
-     token, more items than a small held-item cap, an empty file, and
-     closeness over two files whose inferred domains differ. The CLI exit
-     code must match the envelope status: parse-error <-> 3,
-     invalid-argument <-> 2.
-  3. flags — `histkd --retry-after-ms -1` is a usage error (exit 2), not a
+     token, more items than a small held-item cap (as a file and, to the
+     daemon, as inline "items"), an empty file, and closeness over two
+     files whose inferred domains differ. The CLI exit code must match the
+     envelope status: parse-error <-> 3, invalid-argument <-> 2.
+  3. ingest — `histk_cli ingest` refuses a negative value with the parse
+     error (exit 3) `histk_cli learn` gives the same input.
+  4. flags — `histkd --retry-after-ms -1` is a usage error (exit 2), not a
      failed check.
 
 Exits 1 on the first mismatch, naming the case.
@@ -123,7 +125,9 @@ def check_hostile(cli, daemon, tmp, items_text):
             f.write(text)
         return path
 
-    small = write("small.txt", "".join(f"{i % 100}\n" for i in range(500)))
+    small_items = [i % 100 for i in range(500)]
+    small = write("small.txt", "".join(f"{i}\n" for i in small_items))
+    # The daemon gets the last case's items inline; the CLI reads the file.
     cases = [
         ("out-of-domain item", {"n": 256},
          write("oob.txt", items_text + "300\n")),
@@ -134,11 +138,14 @@ def check_hostile(cli, daemon, tmp, items_text):
         ("unequal inferred domains",
          {"kind": "closeness", "other": {"path": small}},
          os.path.join(tmp, "items.txt")),
+        ("inline items over the held-item cap", {"reservoir": 100}, small),
     ]
     for name, extra, path in cases:
         request = dict(KNOBS, kind="learn", dataset={"path": path})
         request.update(extra)
         code, _ = run_cli(cli, request)
+        if name.startswith("inline"):
+            request = dict(request, dataset={"items": small_items})
         envelope, _ = run_daemon(daemon, request)
         status = envelope["status"]
         if status not in EXIT_FOR_STATUS:
@@ -147,6 +154,18 @@ def check_hostile(cli, daemon, tmp, items_text):
             fail(f"{name}: histk_cli exited {code} but histkd answered "
                  f"{status} ({envelope.get('error')})")
         print(f"hostile parity ok: {name} -> {status} / exit {code}")
+
+
+def check_ingest(cli):
+    values = b"5\n-3\n7\n"
+    codes = {}
+    for argv in (["ingest"], ["learn", "--k", "2", "--eps", "0.3"]):
+        proc = subprocess.run([cli] + argv, input=values, capture_output=True,
+                              timeout=60)
+        codes[argv[0]] = proc.returncode
+    if codes != {"ingest": 3, "learn": 3}:
+        fail(f"a negative value should exit 3 in ingest and learn, got {codes}")
+    print("ingest check ok: a negative value -> exit 3, as in learn")
 
 
 def check_daemon_flags(daemon):
@@ -176,6 +195,7 @@ def main():
             items_text = f.read()
         check_reports(cli, daemon, paths["items.txt"], paths["other.txt"])
         check_hostile(cli, daemon, tmp, items_text)
+        check_ingest(cli)
         check_daemon_flags(daemon)
     print("cli/daemon parity ok")
 

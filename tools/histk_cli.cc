@@ -29,8 +29,9 @@
 //   histk_cli ingest  [--mantissa-bits B] [--threads W] [--cdf-at V]
 //                     [--sketch-out FILE] [--json] < values.txt
 //
-// ingest is the live-telemetry entry point: stdin values (any u64 range —
-// latencies, sizes) stream into a lock-free ConcurrentHistogram
+// ingest is the live-telemetry entry point: stdin values (non-negative —
+// latencies, sizes; a negative one is a parse error naming its line, exit
+// 3, as in every other subcommand) stream into a lock-free ConcurrentHistogram
 // (stream/concurrent_histogram.h), fanned out across --threads writer
 // threads, and the snapshot is reported as a quantile summary (plus
 // cdf(V) for each --cdf-at), --json (the snapshot's JSON form), and/or
@@ -201,7 +202,8 @@ void Usage() {
       "                 [--sketch-out FILE] [--json]  < values.txt\n"
       "                 (quantile summary in text mode; --json prints the\n"
       "                 snapshot object; learn/test --from-sketch consume\n"
-      "                 the --sketch-out file)\n"
+      "                 the --sketch-out file; a negative value is a parse\n"
+      "                 error, exit 3)\n"
       "       all sampling commands also take --kernel replay|simd\n"
       "                 (oracle draw kernel; default replay)\n"
       "       stdin and --other are read whole: a negative item or one >= --n\n"
@@ -781,16 +783,13 @@ int RunIngest(const Args& args) {
     chunk = std::vector<uint64_t>();
     chunk.reserve(static_cast<size_t>(kIngestChunk));
   };
-  // Same dataset grammar as every other subcommand (ScanDataset), but these
-  // are telemetry values, not a data set D: negatives are warned about and
-  // dropped rather than refused. Values use the full u64 range
-  // the library supports only via the API — the shared grammar is int64, so
-  // the CLI tops out at 2^63 - 1, plenty for ns-scale latencies.
-  const Status scan = ScanDataset(std::cin, [&](int64_t v, int64_t) -> Status {
-    if (v < 0) {
-      std::fprintf(stderr, "negative item %lld ignored\n", static_cast<long long>(v));
-      return Status::Ok();
-    }
+  // Same dataset grammar and item rule as every other subcommand
+  // (ScanDataset + CheckDatasetItem with no domain bound): a negative value
+  // is a parse error naming its line (exit 3). Values use the full u64
+  // range the library supports only via the API — the shared grammar is
+  // int64, so the CLI tops out at 2^63 - 1, plenty for ns-scale latencies.
+  const Status scan = ScanDataset(std::cin, [&](int64_t v, int64_t line) -> Status {
+    if (Status bad = CheckDatasetItem(v, 0, line); !bad.ok()) return bad;
     chunk.push_back(static_cast<uint64_t>(v));
     if (static_cast<int64_t>(chunk.size()) == kIngestChunk) flush();
     return Status::Ok();
